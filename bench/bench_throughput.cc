@@ -2,16 +2,24 @@
  * @file
  * google-benchmark microbenchmarks of the simulator infrastructure
  * itself: simulated instructions per second in each execution mode,
- * translator event throughput, and scalarizer compile speed. These are
+ * translator event throughput, scalarizer compile speed, and the
+ * static stack's dependence and clobber scans. These are
  * host-performance benchmarks (not paper results) for keeping the
  * toolchain fast enough to run the sweeps.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <string>
+
 #include "asm/assembler.hh"
 #include "scalarizer/scalarizer.hh"
 #include "sim/system.hh"
+#include "verifier/poly.hh"
+#include "verifier/range.hh"
+#include "verifier/scan.hh"
+#include "verifier/verifier.hh"
+#include "workloads/range_stress.hh"
 #include "workloads/workload.hh"
 
 namespace
@@ -20,11 +28,11 @@ namespace
 using namespace liquid;
 
 const Workload &
-firWorkload()
+suiteWorkload(const std::string &name)
 {
     static const auto suite = makeSuite();
     for (const auto &wl : suite) {
-        if (wl->name() == "fir")
+        if (wl->name() == name)
             return *wl;
     }
     std::abort();
@@ -34,7 +42,7 @@ void
 BM_SimulateScalar(benchmark::State &state)
 {
     const auto build =
-        firWorkload().build(EmitOptions::Mode::InlineScalar);
+        suiteWorkload("fir").build(EmitOptions::Mode::InlineScalar);
     std::uint64_t insts = 0;
     for (auto _ : state) {
         System sys(SystemConfig::make(ExecMode::ScalarBaseline),
@@ -50,7 +58,8 @@ BENCHMARK(BM_SimulateScalar);
 void
 BM_SimulateLiquid(benchmark::State &state)
 {
-    const auto build = firWorkload().build(EmitOptions::Mode::Scalarized);
+    const auto build =
+        suiteWorkload("fir").build(EmitOptions::Mode::Scalarized);
     std::uint64_t insts = 0;
     for (auto _ : state) {
         System sys(SystemConfig::make(ExecMode::Liquid, 8), build.prog);
@@ -102,6 +111,77 @@ BM_Assemble(benchmark::State &state)
     }
 }
 BENCHMARK(BM_Assemble);
+
+/**
+ * liquid-poly on the suite's largest dependence trace (179.art_k0:
+ * 65 536 events, validity probed to N = 4096). pair_tests is the
+ * enumerator's partner-visit counter for one analysis.
+ */
+void
+BM_PolyAnalyzeArt(benchmark::State &state)
+{
+    const auto build = suiteWorkload("179.art")
+                           .build(EmitOptions::Mode::Scalarized, 8, true);
+    const int entry = build.prog.labelIndex("179.art_k0");
+    const TranslatorConfig config;
+    std::uint64_t pairTests = 0;
+    for (auto _ : state) {
+        const PolyRegion r = analyzePoly(build.prog, entry, config);
+        pairTests = r.pairTests();
+        benchmark::DoNotOptimize(r.validity.okWidths.size());
+    }
+    state.counters["pair_tests"] = static_cast<double>(pairTests);
+}
+BENCHMARK(BM_PolyAnalyzeArt)->Unit(benchmark::kMillisecond);
+
+/**
+ * Facts-on verification of the rs_pair_budget range-stress case at
+ * width 16: every load of its 5888-iteration loop consults the
+ * AbsMachine clobber check.
+ */
+void
+BM_VerifyFactsPairBudget(benchmark::State &state)
+{
+    const RangeStressCase *stress = nullptr;
+    for (const RangeStressCase &c : rangeStressCases()) {
+        if (std::string(c.name) == "rs_pair_budget")
+            stress = &c;
+    }
+    if (stress == nullptr)
+        std::abort();
+    const Program prog = assemble(stress->src);
+    const ProgramRanges ranges = solveProgramRanges(prog);
+    VerifyOptions opts;
+    opts.config.simdWidth = 16;
+    opts.ranges = &ranges;
+    std::uint64_t probes = 0;
+    for (auto _ : state) {
+        const ProgramReport rep = verifyProgram(prog, opts);
+        probes = 0;
+        for (const RegionReport &r : rep.regions)
+            probes += r.clobberProbes;
+    }
+    state.counters["clobber_probes"] = static_cast<double>(probes);
+}
+BENCHMARK(BM_VerifyFactsPairBudget)->Unit(benchmark::kMillisecond);
+
+/** liquid-scan --suite: discovery, per-width prediction and poly. */
+void
+BM_ScanSuite(benchmark::State &state)
+{
+    std::vector<Program> progs;
+    for (const auto &wl : makeSuite())
+        progs.push_back(
+            wl->build(EmitOptions::Mode::Scalarized, 8, false).prog);
+    const ScanOptions opts;
+    for (auto _ : state) {
+        for (const Program &prog : progs) {
+            const ScanReport rep = scanProgram(prog, opts);
+            benchmark::DoNotOptimize(rep.regions.size());
+        }
+    }
+}
+BENCHMARK(BM_ScanSuite)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

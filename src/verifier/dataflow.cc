@@ -1,5 +1,7 @@
 #include "verifier/dataflow.hh"
 
+#include <algorithm>
+
 #include "cpu/exec.hh"
 
 namespace liquid
@@ -164,11 +166,13 @@ AbsMachine::step(const Inst &inst, int index, Taken &taken)
     if (info.isStore) {
         const AbsVal ea = effectiveAddr(inst);
         if (executed != Taken::No) {
-            if (ea.known)
-                stores_.push_back(
-                    StoreRange{ea.value, info.memElemSize});
-            else
+            if (ea.known) {
+                unsigned &size = storeSizes_[ea.value];
+                size = std::max(size, info.memElemSize);
+                maxStoreSize_ = std::max(maxStoreSize_, size);
+            } else {
                 unknownStore_ = true;
+            }
         }
         ri.value = read(inst.src1);
         ri.memAddr = ea;
@@ -200,8 +204,18 @@ AbsMachine::clobbered(Addr addr, unsigned size) const
 {
     if (unknownStore_)
         return true;
-    for (const StoreRange &s : stores_) {
-        if (addr < s.addr + s.size && s.addr < addr + size)
+    if (storeSizes_.empty())
+        return false;
+    const std::uint64_t first = addr;
+    const std::uint64_t lo =
+        first + 1 > maxStoreSize_ ? first + 1 - maxStoreSize_ : 0;
+    // Store starts are 32-bit: none lies at or past 2^32.
+    const std::uint64_t end =
+        std::min<std::uint64_t>(first + size, 1ull << 32);
+    for (std::uint64_t start = lo; start < end; ++start) {
+        ++clobberProbes_;
+        const auto it = storeSizes_.find(static_cast<Addr>(start));
+        if (it != storeSizes_.end() && start + it->second > first)
             return true;
     }
     return false;

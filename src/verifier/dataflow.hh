@@ -26,7 +26,9 @@
 #define LIQUID_VERIFIER_DATAFLOW_HH
 
 #include <array>
+#include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "asm/program.hh"
@@ -139,6 +141,12 @@ class AbsMachine
         return factsUsed_;
     }
 
+    /**
+     * Store-set lookups the clobber check has made so far: a
+     * deterministic work counter (not part of any report).
+     */
+    std::uint64_t clobberProbes() const { return clobberProbes_; }
+
   private:
     AbsVal read(RegId id) const;
     void write(RegId id, AbsVal v);
@@ -147,6 +155,9 @@ class AbsMachine
      * Whether a store may have overwritten [addr, addr+size). Keeps
      * constant-pool reads honest if a region writes into data the
      * assembler marked read-only (or through an unknown address).
+     * Probes only the store starts that can reach the range,
+     * [addr - maxStoreSize + 1, addr + size), in 64-bit arithmetic so
+     * an access ending at 2^32 does not wrap.
      */
     bool clobbered(Addr addr, unsigned size) const;
 
@@ -155,12 +166,6 @@ class AbsMachine
 
     /** Whether inst's condition holds: tri-state. */
     Taken condHolds(Cond cond) const;
-
-    struct StoreRange
-    {
-        Addr addr;
-        unsigned size;
-    };
 
     /** Record that @p fact fed a resolved value (deduplicated). */
     void noteFact(const std::string &fact) const;
@@ -172,8 +177,11 @@ class AbsMachine
     bool flagsKnown_ = false;
     int cmpState_ = 0;
     int lastCmpIndex_ = -1;
-    std::vector<StoreRange> stores_;
+    /** Known store start address -> largest size stored there. */
+    std::unordered_map<Addr, unsigned> storeSizes_;
+    unsigned maxStoreSize_ = 0;
     bool unknownStore_ = false;
+    mutable std::uint64_t clobberProbes_ = 0;
     mutable std::vector<std::string> factsUsed_;
 };
 

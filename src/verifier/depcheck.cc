@@ -201,10 +201,13 @@ classifyAccesses(const Program &prog, const std::vector<MemEvent> &events)
     return out;
 }
 
+/** Byte-range overlap, in 64 bits so an access ending at 2^32 does
+ *  not wrap to 0. */
 bool
 overlaps(const MemEvent &a, const MemEvent &b)
 {
-    return a.ea < b.ea + b.size && b.ea < a.ea + a.size;
+    return a.ea < std::uint64_t{b.ea} + b.size &&
+           b.ea < std::uint64_t{a.ea} + a.size;
 }
 
 } // namespace
@@ -319,6 +322,7 @@ analyzeDeps(const Program &prog, int entry_index, const RegionCfg &cfg,
         result.unresolvedReason = stop.reason;
         result.unresolvedIndex = stop.index;
         result.factsUsed = machine.factsUsed();
+        result.clobberProbes = machine.clobberProbes();
         for (auto &v : result.byWidth) {
             v.kind = WidthVerdict::Kind::Unknown;
             v.why = stop.why;
@@ -328,6 +332,7 @@ analyzeDeps(const Program &prog, int entry_index, const RegionCfg &cfg,
     }
     result.resolved = true;
     result.factsUsed = machine.factsUsed();
+    result.clobberProbes = machine.clobberProbes();
     result.eventCount = static_cast<unsigned>(events.size());
     result.accesses = classifyAccesses(prog, events);
 

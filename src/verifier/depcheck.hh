@@ -31,6 +31,7 @@
 #define LIQUID_VERIFIER_DEPCHECK_HH
 
 #include <array>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -157,6 +158,8 @@ struct DepcheckResult
     int unresolvedIndex = -1;
     /** External range facts the walk consumed (for diagnostics). */
     std::vector<std::string> factsUsed;
+    /** AbsMachine clobber-check lookups (work counter, unreported). */
+    std::uint64_t clobberProbes = 0;
 
     unsigned loopsAnalyzed = 0;
     unsigned eventCount = 0;      ///< dynamic load/store executions

@@ -121,6 +121,12 @@ struct RegionReport
     unsigned blockCount = 0;       ///< CFG basic blocks
     unsigned loopCount = 0;        ///< CFG natural loops
     unsigned analyzedInsts = 0;    ///< abstract retires walked
+    /**
+     * Clobber-check lookups across every AbsMachine walk of this
+     * region (rule mirror at each width, depcheck): a deterministic
+     * work counter, not part of any report.
+     */
+    std::uint64_t clobberProbes = 0;
 
     std::vector<Diagnostic> diags;
 };

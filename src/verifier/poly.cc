@@ -99,107 +99,12 @@ class Recorder : public WidthCheckSink
     PolyRegion &region_;
 };
 
+/** Textual order opposes iteration order: a vector group breaks it. */
 bool
-depOverlaps(const DepEvent &a, const DepEvent &b)
+orderFlips(const DepEvent &a, const DepEvent &b)
 {
-    return a.ea < b.ea + b.size && b.ea < a.ea + a.size;
-}
-
-/**
- * The per-width group scan analyzeDeps runs, replayed on the recorded
- * trace at symbolic-instantiation time. Pair enumeration order matches
- * analyzeDeps exactly: loops ascending, store events ascending, their
- * partners ascending — within one group the two iteration orders
- * coincide because group runs are contiguous. The sabotage knobs seed
- * the --sabotage bugs into this evaluator.
- */
-struct DepScanHit
-{
-    bool unsafe = false;
-    DepPair pair;
-};
-
-DepScanHit
-scanDepsAt(const PolyDeps &deps, unsigned n, unsigned sabotage)
-{
-    DepScanHit hit;
-    std::vector<std::vector<const DepEvent *>> perLoop(
-        deps.loopsAnalyzed);
-    for (const DepEvent &e : deps.events)
-        perLoop[static_cast<std::size_t>(e.loop)].push_back(&e);
-
-    for (const auto &evs : perLoop) {
-        for (std::size_t i = 0; i < evs.size(); ++i) {
-            const DepEvent &a = *evs[i];
-            if (!a.isStore)
-                continue;
-            for (std::size_t j = 0; j < evs.size(); ++j) {
-                if (i == j)
-                    continue;
-                const DepEvent &b = *evs[j];
-                if (a.isStore && b.isStore && j < i)
-                    continue;  // store pairs tested once
-                if (!depOverlaps(a, b) || a.iter == b.iter)
-                    continue;
-                const unsigned dist = a.iter > b.iter
-                                          ? a.iter - b.iter
-                                          : b.iter - a.iter;
-                const bool flips =
-                    (a.iter < b.iter && a.pos > b.pos) ||
-                    (b.iter < a.iter && b.pos > a.pos);
-                if (!sabOn(sabotage, PolySabotage::FlipIgnore) &&
-                    !flips)
-                    continue;
-                const bool sameGroup =
-                    sabOn(sabotage, PolySabotage::GroupCollide)
-                        ? dist < n
-                        : a.iter / n == b.iter / n;
-                if (!sameGroup)
-                    continue;
-                hit.unsafe = true;
-                hit.pair.storeIndex = a.pos;
-                hit.pair.otherIndex = b.pos;
-                hit.pair.otherIsStore = b.isStore;
-                hit.pair.distance = dist;
-                hit.pair.addr = std::max(a.ea, b.ea);
-                hit.pair.orderFlips = flips;
-                return hit;
-            }
-        }
-    }
-    return hit;
-}
-
-/** Does any order-breaking carried pair exist at *some* width? */
-bool
-anyFlippingPair(const PolyDeps &deps)
-{
-    std::vector<std::vector<const DepEvent *>> perLoop(
-        deps.loopsAnalyzed);
-    for (const DepEvent &e : deps.events)
-        perLoop[static_cast<std::size_t>(e.loop)].push_back(&e);
-    for (const auto &evs : perLoop) {
-        for (std::size_t i = 0; i < evs.size(); ++i) {
-            const DepEvent &a = *evs[i];
-            if (!a.isStore)
-                continue;
-            for (std::size_t j = 0; j < evs.size(); ++j) {
-                if (i == j)
-                    continue;
-                const DepEvent &b = *evs[j];
-                if (a.isStore && b.isStore && j < i)
-                    continue;
-                if (!depOverlaps(a, b) || a.iter == b.iter)
-                    continue;
-                const bool flips =
-                    (a.iter < b.iter && a.pos > b.pos) ||
-                    (b.iter < a.iter && b.pos > a.pos);
-                if (flips)
-                    return true;
-            }
-        }
-    }
-    return false;
+    return (a.iter < b.iter && a.pos > b.pos) ||
+           (b.iter < a.iter && b.pos > a.pos);
 }
 
 /**
@@ -264,6 +169,126 @@ accessAt(const std::vector<MemAccess> &accesses, int inst_index)
 }
 
 } // namespace
+
+DepPairIndex::DepPairIndex(const PolyDeps &deps) : loops_(deps.loopsAnalyzed)
+{
+    for (const DepEvent &e : deps.events) {
+        loops_[static_cast<std::size_t>(e.loop)].walk.push_back(e);
+        maxSize_ = std::max(maxSize_, e.size);
+    }
+    for (Loop &loop : loops_) {
+        loop.byAddr.reserve(loop.walk.size());
+        for (std::size_t j = 0; j < loop.walk.size(); ++j)
+            loop.byAddr.push_back(
+                AddrKey{loop.walk[j].ea, static_cast<std::uint32_t>(j)});
+        std::sort(loop.byAddr.begin(), loop.byAddr.end(),
+                  [](const AddrKey &x, const AddrKey &y) {
+                      return x.ea != y.ea ? x.ea < y.ea : x.walk < y.walk;
+                  });
+    }
+}
+
+DepScanHit
+DepPairIndex::scanAt(unsigned n, unsigned sabotage) const
+{
+    return scan(sabOn(sabotage, PolySabotage::GroupCollide) ? Window::Collide
+                                                            : Window::Group,
+                n, !sabOn(sabotage, PolySabotage::FlipIgnore));
+}
+
+bool
+DepPairIndex::anyFlippingPair() const
+{
+    return scan(Window::Loop, 0, true).unsafe;
+}
+
+DepScanHit
+DepPairIndex::scan(Window window, unsigned n, bool requireFlip) const
+{
+    for (const Loop &loop : loops_) {
+        const std::vector<DepEvent> &walk = loop.walk;
+        const auto firstAtIter = [&](std::uint64_t iter) {
+            return static_cast<std::size_t>(
+                std::partition_point(walk.begin(), walk.end(),
+                                     [&](const DepEvent &e) {
+                                         return e.iter < iter;
+                                     }) -
+                walk.begin());
+        };
+        // First key at or after (ea, walk) in the address order.
+        const auto seek = [&](auto from, std::uint64_t ea,
+                              std::size_t j) {
+            return std::partition_point(
+                from, loop.byAddr.end(), [&](const AddrKey &k) {
+                    return k.ea != ea ? k.ea < ea : k.walk < j;
+                });
+        };
+
+        for (std::size_t i = 0; i < walk.size(); ++i) {
+            const DepEvent &a = walk[i];
+            if (!a.isStore)
+                continue;
+            // Walk-index window [jlo, jhi) of the partners' iterations.
+            std::size_t jlo = 0;
+            std::size_t jhi = walk.size();
+            if (window == Window::Group) {
+                const std::uint64_t first = std::uint64_t{a.iter} / n * n;
+                jlo = firstAtIter(first);
+                jhi = firstAtIter(first + n);
+            } else if (window == Window::Collide) {
+                const std::uint64_t reach = std::uint64_t{a.iter} + 1;
+                jlo = firstAtIter(reach > n ? reach - n : 0);
+                jhi = firstAtIter(std::uint64_t{a.iter} + n);
+            }
+
+            // Partners overlapping [ea, ea + size) start in
+            // [ea - maxSize + 1, ea + size); within one start address
+            // keys ascend by walk index, so the first qualifying key
+            // of each address is that address's best candidate.
+            const std::uint64_t ea = a.ea;
+            const std::uint64_t end = ea + a.size;
+            std::size_t best = jhi;
+            auto k = seek(loop.byAddr.begin(),
+                          ea + 1 > maxSize_ ? ea + 1 - maxSize_ : 0, jlo);
+            while (k != loop.byAddr.end() && k->ea < end) {
+                if (k->walk < jlo) {
+                    k = seek(k, k->ea, jlo);
+                    continue;
+                }
+                if (k->walk >= best) {
+                    k = seek(k, std::uint64_t{k->ea} + 1, jlo);
+                    continue;
+                }
+                ++pairTests_;
+                const std::size_t j = k->walk;
+                const DepEvent &b = walk[j];
+                if (j == i || (b.isStore && j < i) || a.iter == b.iter ||
+                    ea >= std::uint64_t{b.ea} + b.size ||
+                    (requireFlip && !orderFlips(a, b))) {
+                    ++k;
+                    continue;
+                }
+                best = j;
+                k = seek(k, std::uint64_t{k->ea} + 1, jlo);
+            }
+            if (best == jhi)
+                continue;
+
+            const DepEvent &b = walk[best];
+            DepScanHit hit;
+            hit.unsafe = true;
+            hit.pair.storeIndex = a.pos;
+            hit.pair.otherIndex = b.pos;
+            hit.pair.otherIsStore = b.isStore;
+            hit.pair.distance =
+                a.iter > b.iter ? a.iter - b.iter : b.iter - a.iter;
+            hit.pair.addr = std::max(a.ea, b.ea);
+            hit.pair.orderFlips = orderFlips(a, b);
+            return hit;
+        }
+    }
+    return {};
+}
 
 const char *
 polySabotageName(PolySabotage s)
@@ -404,7 +429,7 @@ PolyRegion::instantiate(unsigned n, unsigned sabotage) const
             // verifyRegion runs depcheck on interval-test aborts too
             // (the conservative-abort note); mirror its verdict.
             out.depRan = true;
-            const DepScanHit hit = scanDepsAt(deps, n, sabotage);
+            const DepScanHit hit = depIndex.scanAt(n, sabotage);
             out.depKind = hit.unsafe ? WidthVerdict::Kind::Unsafe
                                      : WidthVerdict::Kind::Safe;
             out.pair = hit.pair;
@@ -432,7 +457,7 @@ PolyRegion::instantiate(unsigned n, unsigned sabotage) const
         out.note = "memoryDependence: " + deps.unresolvedWhy;
         return out;
     }
-    const DepScanHit hit = scanDepsAt(deps, n, sabotage);
+    const DepScanHit hit = depIndex.scanAt(n, sabotage);
     if (hit.unsafe) {
         out.verdict = Severity::Error;
         out.reason = AbortReason::MemoryDependence;
@@ -496,6 +521,7 @@ analyzePoly(const Program &prog, int entry_index,
 
     const RegionCfg cfg = RegionCfg::build(prog, entry_index);
     r.deps = analyzePolyDeps(prog, entry_index, cfg, depOpts);
+    r.depIndex = DepPairIndex(r.deps);
 
     // ---- validity set: probe to the data horizon ---------------------
     PolyValidity &v = r.validity;
@@ -580,12 +606,11 @@ analyzePoly(const Program &prog, int entry_index,
             c.why = "unresolved dependence walk: " +
                     r.deps.unresolvedWhy;
             v.constraints.push_back(std::move(c));
-        } else if (anyFlippingPair(r.deps)) {
+        } else if (r.depIndex.anyFlippingPair()) {
             structural = false;
             // Name the symbolic distance bound when the first
             // offending pair is affine (Lane-mode address algebra).
-            const DepScanHit wide =
-                scanDepsAt(r.deps, v.horizon + 1, 0);
+            const DepScanHit wide = r.depIndex.scanAt(v.horizon + 1);
             NConstraint c;
             c.iv = Interval::make(
                 2, v.okWidths.empty()

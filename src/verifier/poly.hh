@@ -125,6 +125,73 @@ struct PolyValidity
     bool okAt(unsigned n) const;
 };
 
+/** The first order-breaking pair the dependence scan finds at one N. */
+struct DepScanHit
+{
+    bool unsafe = false;
+    DepPair pair;  ///< valid when unsafe
+};
+
+/**
+ * The dependence-pair enumerator over a PolyDeps trace: the per-width
+ * group scan analyzeDeps runs, answered at any N from one index.
+ *
+ * Per loop it keeps the events in walk order (iterations ascend, so an
+ * iteration window is a contiguous walk-index range found by binary
+ * search) and the same events sorted by (address, walk index). For
+ * each store in walk order it visits only the partners whose
+ * addresses can overlap the store (starts in [ea - maxSize + 1,
+ * ea + size)) and whose walk index falls in the store's iteration
+ * window; the hit is the smallest qualifying partner index of the
+ * first store that has one — exactly the all-pairs enumeration order
+ * (loops ascending, stores ascending, partners ascending; store pairs
+ * tested once), so the reported DepPair is the one analyzeDeps
+ * reports. Overlap and window bounds are computed in 64 bits, so an
+ * access ending at 2^32 does not wrap.
+ */
+class DepPairIndex
+{
+  public:
+    DepPairIndex() = default;
+    explicit DepPairIndex(const PolyDeps &deps);
+
+    /**
+     * The group scan at width @p n (>= 1) with the seeded evaluator
+     * bugs in @p sabotage: GroupCollide widens the window to
+     * |Δiter| < n, FlipIgnore drops the order-flip predicate.
+     */
+    DepScanHit scanAt(unsigned n, unsigned sabotage = 0) const;
+
+    /** Does an order-breaking carried pair exist at *some* width? */
+    bool anyFlippingPair() const;
+
+    /** Partners visited across every scan so far (a work counter). */
+    std::uint64_t pairTests() const { return pairTests_; }
+
+  private:
+    enum class Window : std::uint8_t
+    {
+        Group,    ///< the store's N-group
+        Collide,  ///< |Δiter| < N
+        Loop,     ///< the whole loop
+    };
+    DepScanHit scan(Window window, unsigned n, bool requireFlip) const;
+
+    struct AddrKey
+    {
+        Addr ea;
+        std::uint32_t walk;  ///< index into Loop::walk
+    };
+    struct Loop
+    {
+        std::vector<DepEvent> walk;   ///< walk order
+        std::vector<AddrKey> byAddr;  ///< sorted by (ea, walk)
+    };
+    std::vector<Loop> loops_;
+    unsigned maxSize_ = 0;  ///< largest access size in the trace
+    mutable std::uint64_t pairTests_ = 0;
+};
+
 /** The width-polymorphic analysis of one region. */
 class PolyRegion
 {
@@ -136,7 +203,15 @@ class PolyRegion
     StaticOutcome terminal;
     /** Dependence trace (width-independent walk + classification). */
     PolyDeps deps;
+    /** Address index over `deps`, built once by analyzePoly. */
+    DepPairIndex depIndex;
     PolyValidity validity;
+
+    /**
+     * Dependence partners visited across all instantiations so far: a
+     * deterministic work counter (not part of any report).
+     */
+    std::uint64_t pairTests() const { return depIndex.pairTests(); }
 
     /**
      * Replay the recorded checks at concrete width @p n, with the

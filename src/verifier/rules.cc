@@ -1025,6 +1025,7 @@ analyzeRegion(const Program &prog, int entry_index,
     out.analyzedInsts = automaton.observed();
     out.visited.assign(visited.begin(), visited.end());
     out.factsUsed = machine.factsUsed();
+    out.clobberProbes = machine.clobberProbes();
     return out;
 }
 

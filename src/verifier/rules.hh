@@ -22,6 +22,7 @@
 #ifndef LIQUID_VERIFIER_RULES_HH
 #define LIQUID_VERIFIER_RULES_HH
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -51,6 +52,8 @@ struct StaticOutcome
     std::vector<int> visited;     ///< distinct instruction indices walked
     /** External range facts the walk consumed (for diagnostics). */
     std::vector<std::string> factsUsed;
+    /** AbsMachine clobber-check lookups (work counter, unreported). */
+    std::uint64_t clobberProbes = 0;
 };
 
 class EntryFacts;

@@ -173,6 +173,7 @@ verifyRegionImpl(const Program &prog, int entry_index,
         if (!dep_ran) {
             report.dep = analyzeDeps(prog, entry_index, cfg, depOpts);
             report.depAnalyzed = true;
+            report.clobberProbes += report.dep.clobberProbes;
             dep_ran = true;
             noteFacts(report.dep.factsUsed);
             if (opts.ranges) {
@@ -215,6 +216,7 @@ verifyRegionImpl(const Program &prog, int entry_index,
         const StaticOutcome outcome = analyzeRegion(
             prog, entry_index, opts.config, bind, facts);
         report.analyzedInsts = outcome.analyzedInsts;
+        report.clobberProbes += outcome.clobberProbes;
         noteFacts(outcome.factsUsed);
 
         if (outcome.verdict == Severity::Ok) {

@@ -2,19 +2,26 @@
  * @file
  * Edge-case coverage for the verifier's CFG reconstruction and the
  * dataflow walk built on it: instructions unreachable from the region
- * entry, single-block self-loop bodies (head == latch), and loops
- * whose back edge targets a block other than the region entry.
+ * entry, single-block self-loop bodies (head == latch), loops whose
+ * back edge targets a block other than the region entry, and the
+ * AbsMachine's store-clobber check against a brute-force interval
+ * model.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <vector>
 
 #include "asm/assembler.hh"
+#include "common/random.hh"
 #include "verifier/cfg.hh"
 #include "verifier/dataflow.hh"
 #include "verifier/depcheck.hh"
+#include "verifier/range.hh"
 #include "verifier/verifier.hh"
+#include "workloads/range_stress.hh"
 
 namespace liquid
 {
@@ -195,6 +202,218 @@ TEST(DataflowEdge, ReadOnlyLoadClobberedByRegionStoreGoesTop)
     m.step(prog.code()[base + 1], base + 1, taken);  // unknown store
     AbsRetire second = m.step(prog.code()[base + 2], base + 2, taken);
     EXPECT_FALSE(second.value.known);
+}
+
+/** Entry facts that pin every writable cell to one known value. */
+class AllCellsKnown : public EntryFacts
+{
+  public:
+    static constexpr Word cellValue = 0x5A5A5A5A;
+
+    bool
+    entryReg(RegId, Word &, std::string &) const override
+    {
+        return false;
+    }
+
+    bool
+    readCell(Addr, unsigned, bool, Word &value,
+             std::string &fact) const override
+    {
+        value = cellValue;
+        fact = "every cell";
+        return true;
+    }
+};
+
+/**
+ * Drives one AbsMachine with loads and stores at arbitrary byte
+ * addresses and checks each load against a brute-force model: a load
+ * is clobbered iff some earlier store's bytes intersect its own
+ * (64-bit interval test); unclobbered read-only loads quote the
+ * initial image, other unclobbered loads the entry fact, if any.
+ */
+class ClobberHarness
+{
+  public:
+    explicit ClobberHarness(const EntryFacts *facts)
+        : prog_(assemble(R"(
+              .rowords cl_ro 0x11223344 0x55667788 0x99AABBCC
+              .rowords cl_ro2 0xDDEEFF00 0x01020304 0x0A0B0C0D
+              fn:
+                  ldb r1, [cl_ro]
+                  ldh r1, [cl_ro]
+                  ldw r1, [cl_ro]
+                  stb [cl_ro], r2
+                  sth [cl_ro], r2
+                  stw [cl_ro], r2
+                  ret
+              main:
+                  bl.simd fn
+                  halt
+          )")),
+          facts_(facts), machine_(prog_, facts)
+    {
+    }
+
+    Addr ro() const { return prog_.symbol("cl_ro"); }
+
+    void
+    store(std::uint64_t addr, unsigned size)
+    {
+        step(addr, size, true);
+        stores_.push_back({addr, size});
+    }
+
+    /** Load and compare; returns whether the machine knew the value. */
+    bool
+    load(std::uint64_t addr, unsigned size)
+    {
+        const AbsRetire ri = step(addr, size, false);
+        const auto ea = static_cast<Addr>(addr);
+        bool clobbered = false;
+        for (const auto &[s, n] : stores_)
+            clobbered = clobbered || (s < addr + size && addr < s + n);
+        AbsVal want;
+        Word raw = 0;
+        if (!clobbered && prog_.isReadOnly(ea) &&
+            prog_.readInitialElem(ea, size, false, raw))
+            want = AbsVal::of(raw);
+        else if (!clobbered && facts_ != nullptr)
+            want = AbsVal::of(AllCellsKnown::cellValue);
+        EXPECT_EQ(ri.value.known, want.known)
+            << "load 0x" << std::hex << addr << std::dec << " size "
+            << size;
+        if (ri.value.known && want.known) {
+            EXPECT_EQ(ri.value.value, want.value)
+                << "load 0x" << std::hex << addr << std::dec << " size "
+                << size;
+        }
+        return ri.value.known;
+    }
+
+    std::uint64_t probes() const { return machine_.clobberProbes(); }
+
+  private:
+    AbsRetire
+    step(std::uint64_t addr, unsigned size, bool is_store)
+    {
+        const int fn = prog_.labelIndex("fn");
+        const unsigned slot = (is_store ? 3u : 0u) + (size == 1   ? 0u
+                                                      : size == 2 ? 1u
+                                                                  : 2u);
+        Inst inst = prog_.code()[static_cast<std::size_t>(fn) + slot];
+        inst.mem.base = static_cast<Addr>(addr);
+        Taken taken = Taken::No;
+        return machine_.step(inst, fn, taken);
+    }
+
+    Program prog_;
+    const EntryFacts *facts_;
+    AbsMachine machine_;
+    std::vector<std::pair<std::uint64_t, unsigned>> stores_;
+};
+
+TEST(DataflowEdge, ClobberCheckMatchesBruteForceOnReadOnlyWords)
+{
+    ClobberHarness h(nullptr);
+    const std::uint64_t r = h.ro();
+    EXPECT_TRUE(h.load(r, 4));
+
+    // A byte store inside word 0 clobbers only the loads covering it.
+    h.store(r + 1, 1);
+    EXPECT_FALSE(h.load(r, 4));
+    EXPECT_TRUE(h.load(r, 1));
+    EXPECT_FALSE(h.load(r + 1, 1));
+    EXPECT_TRUE(h.load(r + 2, 2));
+
+    // A halfword straddling words 1 and 2 clobbers both words.
+    h.store(r + 7, 2);
+    EXPECT_FALSE(h.load(r + 4, 4));
+    EXPECT_FALSE(h.load(r + 8, 4));
+    EXPECT_TRUE(h.load(r + 9, 1));
+    EXPECT_TRUE(h.load(r + 4, 2));
+
+    // Repeated stores to one address: the widest one decides.
+    h.store(r + 12, 1);
+    h.store(r + 12, 1);
+    EXPECT_TRUE(h.load(r + 13, 1));
+    h.store(r + 12, 4);
+    h.store(r + 12, 1);
+    EXPECT_FALSE(h.load(r + 15, 1));
+    EXPECT_TRUE(h.load(r + 16, 4));
+
+    // A store that overlaps only the tail of a later load.
+    h.store(r + 22, 2);
+    EXPECT_FALSE(h.load(r + 20, 4));
+    EXPECT_TRUE(h.load(r + 19, 1));
+    EXPECT_TRUE(h.load(r + 18, 2));
+}
+
+TEST(DataflowEdge, ClobberCheckMatchesBruteForceOnRandomAccesses)
+{
+    for (const bool withFacts : {false, true}) {
+        const AllCellsKnown facts;
+        ClobberHarness h(withFacts ? &facts : nullptr);
+        Rng rng(withFacts ? 0xC10BBull : 0xC10BAull);
+        const std::uint64_t r = h.ro();
+        for (unsigned i = 0; i < 400; ++i) {
+            const std::uint64_t addr =
+                r - 4 + static_cast<std::uint64_t>(rng.range(0, 31));
+            const unsigned size = 1u << rng.range(0, 2);
+            if (rng.chance(0.15))
+                h.store(addr, size);
+            else
+                h.load(addr, size);
+        }
+    }
+}
+
+TEST(DataflowEdge, StoreEndingAt4GiBClobbersItsOwnCell)
+{
+    // `addr + size` wraps to 0 in 32 bits for the last word of the
+    // address space; the check must still see the store.
+    const AllCellsKnown facts;
+    ClobberHarness h(&facts);
+    EXPECT_TRUE(h.load(0xFFFFFFFCull, 4));
+    h.store(0xFFFFFFFCull, 4);
+    EXPECT_FALSE(h.load(0xFFFFFFFCull, 4));
+    EXPECT_FALSE(h.load(0xFFFFFFFEull, 2));
+    EXPECT_FALSE(h.load(0xFFFFFFFFull, 1));
+    // No wraparound the other way: low memory stays untouched.
+    EXPECT_TRUE(h.load(0, 4));
+    EXPECT_TRUE(h.load(0xFFFFFFF8ull, 4));
+}
+
+/**
+ * Work-counter tripwire: rs_pair_budget walks 5888 iterations of
+ * 9 loads and 8 stores with range facts on, so every load consults
+ * the clobber check. The hashed store set probes at most
+ * maxStoreSize + size - 1 starts per load: 741 762 probes over the
+ * rule-mirror and depcheck walks at width 16. The bound is about twice
+ * that; a linear scan over earlier stores costs ~1.2e9 comparisons
+ * per walk.
+ */
+constexpr std::uint64_t pairBudgetProbeBound = 1500000;
+
+TEST(DataflowEdge, PairBudgetClobberProbesStayNearLinear)
+{
+    const RangeStressCase *stress = nullptr;
+    for (const RangeStressCase &c : rangeStressCases()) {
+        if (std::string(c.name) == "rs_pair_budget")
+            stress = &c;
+    }
+    ASSERT_NE(stress, nullptr);
+    const Program prog = assemble(stress->src);
+    const ProgramRanges ranges = solveProgramRanges(prog);
+    ASSERT_TRUE(ranges.sound);
+    VerifyOptions opts;
+    opts.config.simdWidth = 16;
+    opts.ranges = &ranges;
+    const ProgramReport rep = verifyProgram(prog, opts);
+    ASSERT_EQ(rep.regions.size(), 1u);
+    EXPECT_LT(rep.regions[0].clobberProbes, pairBudgetProbeBound)
+        << rep.regions[0].clobberProbes;
 }
 
 } // namespace

@@ -8,10 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "asm/assembler.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
+#include "verifier/cfg.hh"
 #include "verifier/poly.hh"
 #include "verifier/verifier.hh"
 #include "workloads/workload.hh"
@@ -272,6 +275,250 @@ TEST(Poly, RandomKernelsDifferentialClean)
             }
         }
     }
+}
+
+// ---- the dependence-pair enumerator ---------------------------------------
+
+/**
+ * Reference semantics of DepPairIndex: the all-pairs group scan it
+ * replaced (loops ascending, stores ascending, partners ascending,
+ * store pairs tested once), with the byte overlap taken in 64 bits.
+ * @p window: 0 = N-group, 1 = |Δiter| < N, 2 = whole loop.
+ */
+DepScanHit
+allPairsScan(const PolyDeps &deps, unsigned n, int window,
+             bool requireFlip)
+{
+    std::vector<std::vector<const DepEvent *>> perLoop(
+        deps.loopsAnalyzed);
+    for (const DepEvent &e : deps.events)
+        perLoop[static_cast<std::size_t>(e.loop)].push_back(&e);
+    for (const auto &evs : perLoop) {
+        for (std::size_t i = 0; i < evs.size(); ++i) {
+            const DepEvent &a = *evs[i];
+            if (!a.isStore)
+                continue;
+            for (std::size_t j = 0; j < evs.size(); ++j) {
+                const DepEvent &b = *evs[j];
+                if (i == j || (b.isStore && j < i))
+                    continue;
+                const bool overlap =
+                    a.ea < std::uint64_t{b.ea} + b.size &&
+                    b.ea < std::uint64_t{a.ea} + a.size;
+                if (!overlap || a.iter == b.iter)
+                    continue;
+                const unsigned dist = a.iter > b.iter ? a.iter - b.iter
+                                                      : b.iter - a.iter;
+                const bool flips = (a.iter < b.iter && a.pos > b.pos) ||
+                                   (b.iter < a.iter && b.pos > a.pos);
+                if (requireFlip && !flips)
+                    continue;
+                if ((window == 0 && a.iter / n != b.iter / n) ||
+                    (window == 1 && dist >= n))
+                    continue;
+                DepScanHit hit;
+                hit.unsafe = true;
+                hit.pair.storeIndex = a.pos;
+                hit.pair.otherIndex = b.pos;
+                hit.pair.otherIsStore = b.isStore;
+                hit.pair.distance = dist;
+                hit.pair.addr = std::max(a.ea, b.ea);
+                hit.pair.orderFlips = flips;
+                return hit;
+            }
+        }
+    }
+    return {};
+}
+
+/**
+ * A seeded random trace in the walker's shape: several loops, each a
+ * fixed body of static accesses executed per iteration (iterations
+ * ascend per loop), loops interleaved in walk order. Addresses cluster
+ * in a small window near 0, mid-memory or the top of the 32-bit space
+ * so sizes 1/2/4 alias and partly overlap.
+ */
+PolyDeps
+randomTrace(Rng &rng)
+{
+    PolyDeps deps;
+    deps.analyzed = true;
+    deps.resolved = true;
+    deps.loopsAnalyzed = static_cast<unsigned>(rng.range(1, 3));
+    std::vector<std::vector<DepEvent>> loops(deps.loopsAnalyzed);
+    int pos = 0;
+    for (unsigned l = 0; l < deps.loopsAnalyzed; ++l) {
+        const std::uint64_t bases[] = {0, 0x100000, 0xFFFFFFE0ull};
+        const std::uint64_t base = bases[rng.range(0, 2)];
+        const auto bodyLen = static_cast<int>(rng.range(1, 4));
+        const auto trips = static_cast<unsigned>(rng.range(1, 24));
+        std::vector<DepEvent> body;
+        for (int k = 0; k < bodyLen; ++k) {
+            DepEvent e;
+            e.loop = static_cast<int>(l);
+            e.pos = pos++;
+            e.isStore = rng.chance(0.5);
+            e.size = 1u << rng.range(0, 2);
+            body.push_back(e);
+        }
+        for (unsigned it = 0; it < trips; ++it) {
+            for (DepEvent e : body) {
+                e.iter = it;
+                e.ea = static_cast<Addr>(base + rng.range(0, 31));
+                loops[l].push_back(e);
+            }
+        }
+    }
+    // Interleave the loops, keeping each loop's walk order.
+    std::vector<std::size_t> next(loops.size(), 0);
+    for (;;) {
+        std::vector<std::size_t> live;
+        for (std::size_t l = 0; l < loops.size(); ++l) {
+            if (next[l] < loops[l].size())
+                live.push_back(l);
+        }
+        if (live.empty())
+            break;
+        const std::size_t l =
+            live[static_cast<std::size_t>(rng.range(
+                0, static_cast<std::int64_t>(live.size()) - 1))];
+        const DepEvent &e = loops[l][next[l]++];
+        deps.events.push_back(e);
+        deps.maxIter = std::max(deps.maxIter, e.iter);
+    }
+    return deps;
+}
+
+void
+expectSameHit(const DepScanHit &want, const DepScanHit &got)
+{
+    EXPECT_EQ(want.unsafe, got.unsafe);
+    EXPECT_EQ(want.pair.storeIndex, got.pair.storeIndex);
+    EXPECT_EQ(want.pair.otherIndex, got.pair.otherIndex);
+    EXPECT_EQ(want.pair.otherIsStore, got.pair.otherIsStore);
+    EXPECT_EQ(want.pair.distance, got.pair.distance);
+    EXPECT_EQ(want.pair.addr, got.pair.addr);
+    EXPECT_EQ(want.pair.orderFlips, got.pair.orderFlips);
+}
+
+TEST(PolyDepIndex, MatchesAllPairsScanOnRandomTraces)
+{
+    Rng rng(0xDE9AD5ull);
+    unsigned unsafeHits = 0;
+    for (unsigned trial = 0; trial < 1000; ++trial) {
+        const PolyDeps deps = randomTrace(rng);
+        const DepPairIndex index(deps);
+        SCOPED_TRACE("trial " + std::to_string(trial));
+        EXPECT_EQ(index.anyFlippingPair(),
+                  allPairsScan(deps, 0, 2, true).unsafe);
+        for (unsigned n = 2; n <= deps.maxIter + 2; ++n) {
+            for (unsigned bit = 0; bit <= polySabotageCount; ++bit) {
+                const unsigned sab = bit == 0 ? 0 : 1u << (bit - 1);
+                const auto on = [&](PolySabotage s) {
+                    return (sab & static_cast<unsigned>(s)) != 0;
+                };
+                const DepScanHit want = allPairsScan(
+                    deps, n, on(PolySabotage::GroupCollide) ? 1 : 0,
+                    !on(PolySabotage::FlipIgnore));
+                const DepScanHit got = index.scanAt(n, sab);
+                SCOPED_TRACE("n " + std::to_string(n) + " sabotage " +
+                             std::to_string(sab));
+                expectSameHit(want, got);
+                unsafeHits += want.unsafe ? 1 : 0;
+            }
+        }
+    }
+    // The generator must actually produce order-breaking pairs.
+    EXPECT_GT(unsafeHits, 1000u);
+}
+
+TEST(PolyDepIndex, StoreEndingAt4GiBOverlapsItsPartner)
+{
+    // Iteration 0 stores the last word of the address space; iteration
+    // 1 loads it textually first. `ea + size` wraps to 0 in 32 bits.
+    PolyDeps deps;
+    deps.analyzed = deps.resolved = true;
+    deps.loopsAnalyzed = 1;
+    for (unsigned it = 0; it < 2; ++it) {
+        deps.events.push_back(DepEvent{0, it, 3, 0xFFFFFFFCu, 4, false});
+        deps.events.push_back(DepEvent{0, it, 5, 0xFFFFFFFCu, 4, true});
+    }
+    deps.maxIter = 1;
+    const DepPairIndex index(deps);
+    EXPECT_TRUE(index.anyFlippingPair());
+    const DepScanHit hit = index.scanAt(2);
+    ASSERT_TRUE(hit.unsafe);
+    EXPECT_EQ(hit.pair.storeIndex, 5);
+    EXPECT_EQ(hit.pair.otherIndex, 3);
+    EXPECT_EQ(hit.pair.distance, 1u);
+    EXPECT_EQ(hit.pair.addr, 0xFFFFFFFCu);
+    EXPECT_TRUE(hit.pair.orderFlips);
+}
+
+TEST(PolyDepIndex, WalkedStoreAt4GiBAgreesWithDepcheck)
+{
+    // `.data` starts at Program::dataBase, so displacement
+    // -(dataBase / 4 + 1) words puts iteration 0's store at
+    // 0xFFFFFFFC and iteration 1's (textually earlier) load on it.
+    const Program prog = assemble(R"(
+        .data top4g 16
+        fn:
+            mov r0, #0
+        top:
+            ldw r1, [top4g + r0 + #-262146]
+            add r1, r1, #1
+            stw [top4g + r0 + #-262145], r1
+            add r0, r0, #1
+            cmp r0, #4
+            blt top
+            ret
+        main:
+            bl.simd fn
+            halt
+    )");
+    ASSERT_EQ(prog.symbol("top4g"), Program::dataBase);
+    const int entry = prog.labelIndex("fn");
+    const RegionCfg cfg = RegionCfg::build(prog, entry);
+    const DepcheckResult dep = analyzeDeps(prog, entry, cfg);
+    const PolyDeps pdeps = analyzePolyDeps(prog, entry, cfg);
+    ASSERT_TRUE(dep.resolved);
+    ASSERT_TRUE(pdeps.resolved);
+    const WidthVerdict &wv = dep.verdictAt(2);
+    ASSERT_EQ(wv.kind, WidthVerdict::Kind::Unsafe);
+    EXPECT_EQ(wv.pair.addr, 0xFFFFFFFCu);
+    const DepScanHit hit = DepPairIndex(pdeps).scanAt(2);
+    ASSERT_TRUE(hit.unsafe);
+    EXPECT_EQ(hit.pair.storeIndex, wv.pair.storeIndex);
+    EXPECT_EQ(hit.pair.otherIndex, wv.pair.otherIndex);
+    EXPECT_EQ(hit.pair.distance, wv.pair.distance);
+    EXPECT_EQ(hit.pair.addr, wv.pair.addr);
+}
+
+/**
+ * Work-counter tripwire: 179.art_k0 is the largest trace in the suite
+ * (65 536 events, 16 384 stores, horizon 4096). The address-indexed
+ * scan visits 425 984 partners over the whole of analyzePoly; the
+ * bound is about twice that, while an all-pairs regression visits
+ * E^2 ~ 4.3e9 per scanned width.
+ */
+constexpr std::uint64_t artPairTestBound = 850000;
+
+TEST(PolyDepIndex, ArtKernelPairTestsStayNearLinear)
+{
+    const TranslatorConfig config;
+    for (const auto &wl : makeSuite()) {
+        if (wl->name() != "179.art")
+            continue;
+        const Workload::Build build =
+            wl->build(EmitOptions::Mode::Scalarized, 8, true);
+        const int entry = build.prog.labelIndex("179.art_k0");
+        ASSERT_GE(entry, 0);
+        const PolyRegion r = analyzePoly(build.prog, entry, config);
+        EXPECT_EQ(r.deps.events.size(), 65536u);
+        EXPECT_LT(r.pairTests(), artPairTestBound) << r.pairTests();
+        return;
+    }
+    FAIL() << "179.art not in the suite";
 }
 
 /**
