@@ -66,10 +66,8 @@ pretranslateProgram(const Program &prog, unsigned width,
     for (const HintedCall &call : prog.hintedCalls()) {
         // Width fallback, as in the dynamic translator: bind as wide
         // as the region allows.
-        unsigned bind = width;
-        if (call.widthHint != 0)
-            bind = std::min(bind, call.widthHint);
-        for (; bind >= 2; bind /= 2) {
+        for (unsigned bind = bindWidth(width, call.widthHint); bind >= 2;
+             bind /= 2) {
             OfflineResult r = translateOffline(prog, call.target, bind,
                                                call.widthHint);
             if (r.ok) {

@@ -1,90 +1,23 @@
 #include "translator/translator.hh"
 
-#include <algorithm>
-
 #include "common/bitfield.hh"
-#include "cpu/exec.hh"
 
 namespace liquid
 {
 
-namespace
-{
-
-/** Internal control-flow escape used to unwind on translation abort. */
-struct AbortCapture
-{
-    AbortReason reason;
-};
-
-[[noreturn]] void
-raiseAbort(AbortReason reason)
-{
-    throw AbortCapture{reason};
-}
-
-} // namespace
-
 Translator::Translator(const TranslatorConfig &config, const Program &prog,
                        UcodeCache &cache)
-    : config_(config), prog_(prog), cache_(cache), stats_("translator"),
-      regs_(4 * regsPerClass)
+    : config_(config), prog_(prog), cache_(cache), stats_("translator")
 {
     LIQUID_ASSERT(isPowerOf2(config_.simdWidth) && config_.simdWidth >= 2,
                   "bad SIMD width");
 }
 
-Translator::RegState &
-Translator::state(RegId reg)
-{
-    LIQUID_ASSERT(reg.isValid());
-    return regs_[reg.flat()];
-}
-
-int
-Translator::newStream(int producer_ucode)
-{
-    streams_.push_back(ValueStream{});
-    streams_.back().producerUcode = producer_ucode;
-    return static_cast<int>(streams_.size()) - 1;
-}
-
-Translator::BuildNote &
-Translator::note(int static_idx)
-{
-    return notes_[static_idx];
-}
-
-int
-Translator::emit(Inst inst, int static_idx)
-{
-    if (ucode_.size() >= config_.maxUcodeInsts)
-        raiseAbort(AbortReason::UcodeOverflow);
-    UcodeSlot slot;
-    slot.inst = std::move(inst);
-    (void)static_idx;
-    ucode_.push_back(std::move(slot));
-    return static_cast<int>(ucode_.size()) - 1;
-}
-
 void
-Translator::resetCapture()
+Translator::reset()
 {
-    mode_ = Mode::Idle;
+    automaton_.reset();
     regionEntry_ = invalidAddr;
-    observedInsts_ = 0;
-    for (auto &r : regs_)
-        r = RegState{};
-    streams_.clear();
-    ucode_.clear();
-    cvecs_.clear();
-    patches_.clear();
-    ucodeStartOfStatic_.clear();
-    notes_.clear();
-    idiom_ = IdiomState{};
-    loopStart_ = loopEnd_ = expectIdx_ = -1;
-    itersDone_ = 0;
-    loopUcodeStart_ = -1;
 }
 
 void
@@ -103,30 +36,28 @@ Translator::abort(AbortReason reason)
         // Width-dependent failures can succeed at a narrower binding:
         // the trip count may divide a smaller width, and a shuffle or
         // lane pattern that is not W-periodic may be W/2-periodic.
+        const unsigned width = automaton_->width();
         if (config_.widthFallback && abortIsWidthDependent(reason) &&
-            captureWidth_ > 2) {
-            retryWidth_[regionEntry_] = captureWidth_ / 2;
+            width > 2) {
+            retryWidth_[regionEntry_] = width / 2;
             stats_.inc("widthFallbacks");
         } else if (config_.blacklistOnAbort) {
             blacklist_.insert(regionEntry_);
         }
     }
-    resetCapture();
+    reset();
 }
 
 void
 Translator::onCall(Addr callee_entry, bool hinted, unsigned width_hint,
                    Cycles now)
 {
-    (void)now;
-    if (mode_ != Mode::Idle) {
+    if (automaton_) {
         // A call retired inside a region being captured: the region
         // does not fit the outlined-loop format.
         abort(AbortReason::NestedCall);
         return;
     }
-    if (config_.simdWidth == 0)
-        return;
     if (config_.requireHint && !hinted)
         return;
     if (blacklist_.count(callee_entry))
@@ -134,23 +65,18 @@ Translator::onCall(Addr callee_entry, bool hinted, unsigned width_hint,
     if (cache_.contains(callee_entry))
         return;
 
-    resetCapture();
-    mode_ = Mode::Build;
-    regionEntry_ = callee_entry;
-    regionStart_ = now;
     // Bind at the accelerator width, capped by the compiled maximum
-    // vectorizable width (data is only aligned that far — paper
-    // Section 3.1) and by any previous width fallback.
-    captureWidth_ = config_.simdWidth;
-    if (width_hint != 0)
-        captureWidth_ = std::min(captureWidth_, width_hint);
+    // vectorizable width and by any previous width fallback.
+    unsigned width = bindWidth(config_.simdWidth, width_hint);
     auto retry = retryWidth_.find(callee_entry);
     if (retry != retryWidth_.end())
-        captureWidth_ = std::min(captureWidth_, retry->second);
-    if (captureWidth_ < 2) {
-        resetCapture();
+        width = std::min(width, retry->second);
+    if (width < 2)
         return;
-    }
+
+    automaton_.emplace(config_, prog_, width, &stats_);
+    regionEntry_ = callee_entry;
+    regionStart_ = now;
     stats_.inc("capturesStarted");
 }
 
@@ -158,7 +84,7 @@ void
 Translator::onInterrupt(Cycles now)
 {
     (void)now;
-    if (mode_ == Mode::Idle)
+    if (!automaton_)
         return;
     // External abort from the pipeline (paper Figure 5's Abort input):
     // transient, so the region is not blacklisted and may be retried.
@@ -192,26 +118,21 @@ Translator::noteCodeInvalidated(Addr lo, Addr hi, AbortReason reason)
             ++it;
     }
 
-    if (mode_ == Mode::Idle || regionEntry_ == invalidAddr)
-        return;
-    const Addr capture_end =
-        ucodeStartOfStatic_.empty()
-            ? regionEntry_ + 4
-            : Program::instAddr(ucodeStartOfStatic_.rbegin()->first + 2);
-    if (lo < capture_end && hi > regionEntry_)
+    if (automaton_ && lo < automaton_->codeEnd(regionEntry_) &&
+        hi > regionEntry_)
         abort(reason);
 }
 
 void
 Translator::onReturn(Cycles now)
 {
-    if (mode_ == Mode::Idle)
+    if (!automaton_)
         return;
+    // The retire bus does not carry the ret's index; abort indices are
+    // a static-analysis diagnostic the runtime ignores.
     try {
-        if (mode_ == Mode::Verify)
-            raiseAbort(AbortReason::RetInsideLoop);
-        commit(now);
-    } catch (const AbortCapture &a) {
+        commit(automaton_->observeReturn(-1), now);
+    } catch (const CaptureAbort &a) {
         abort(a.reason);
     }
 }
@@ -220,764 +141,40 @@ void
 Translator::onRetire(const RetireInfo &info, Cycles now)
 {
     (void)now;
-    if (mode_ == Mode::Idle)
+    if (!automaton_)
         return;
-    ++observedInsts_;
     stats_.inc("instsObserved");
 
+    const AbsRetire ri{info.inst, info.index, AbsVal::of(info.value),
+                       AbsVal::of(info.memAddr), info.branchTaken};
     try {
-        if (info.index < 0)
-            raiseAbort(AbortReason::UnindexedInst);
-        if (mode_ == Mode::Verify)
-            verify(info);
-        else
-            build(info);
-    } catch (const AbortCapture &a) {
+        automaton_->observe(ri);
+    } catch (const CaptureAbort &a) {
         abort(a.reason);
     }
 }
 
-// ---------------------------------------------------------------------------
-// Build phase: paper Table 3 rules.
-// ---------------------------------------------------------------------------
-
 void
-Translator::build(const RetireInfo &info)
+Translator::commit(RuleAutomaton::Translation translation, Cycles now)
 {
-    const Inst &inst = *info.inst;
-
-    if (!ucodeStartOfStatic_.count(info.index)) {
-        ucodeStartOfStatic_[info.index] =
-            static_cast<int>(ucode_.size());
-    }
-
-    // The partial decoder recognizes only translatable opcodes.
-    const DecodeClass dc = partialDecode(inst.op);
-    switch (dc) {
-      case DecodeClass::Vector:
-        raiseAbort(AbortReason::VectorOpcode);
-      case DecodeClass::Call:
-        raiseAbort(AbortReason::NestedCall);
-      case DecodeClass::Untranslatable:
-        raiseAbort(AbortReason::UntranslatableOpcode);
-      default:
-        break;
-    }
-
-    // The saturation idiom recognizer intercepts its instructions before
-    // the main rule table.
-    if (handleIdiom(info))
-        return;
-
-    switch (dc) {
-      case DecodeClass::Mov:
-        buildMov(info);
-        return;
-      case DecodeClass::Cmp:
-        buildCmp(info);
-        return;
-      case DecodeClass::Branch:
-        buildBranch(info);
-        return;
-      case DecodeClass::Load:
-        buildLoad(info);
-        return;
-      case DecodeClass::Store:
-        buildStore(info);
-        return;
-      case DecodeClass::DataProc:
-        buildDataProc(info);
-        return;
-      default:
-        raiseAbort(AbortReason::UntranslatableOpcode);
-    }
-}
-
-bool
-Translator::handleIdiom(const RetireInfo &info)
-{
-    const Inst &inst = *info.inst;
-
-    // Stages: 1 = saw `cmp vd, #satMax`, expect `movgt vd, #satMax`;
-    //         2 = expect `cmp vd, #satMin`;
-    //         3 = expect `movlt vd, #satMin`, then patch vadd -> vqadd.
-    switch (idiom_.stage) {
-      case 0: {
-        if (inst.op != Opcode::Cmp || !inst.hasImm ||
-            !inst.src1.isValid())
-            return false;
-        if (state(inst.src1).kind != RegState::Kind::Vector)
-            return false;
-        // cmp on a virtualized vector register: only legal as the head
-        // of the saturation idiom.
-        if (inst.imm != satMax)
-            raiseAbort(AbortReason::VectorCompare);
-        idiom_.stage = 1;
-        idiom_.reg = inst.src1;
-        idiom_.defSlot = state(inst.src1).producerUcode;
-        if (idiom_.defSlot < 0)
-            raiseAbort(AbortReason::IdiomNoProducer);
-        return true;
-      }
-      case 1: {
-        if (inst.op != Opcode::Mov || inst.cond != Cond::GT ||
-            !inst.hasImm || inst.imm != satMax || inst.dst != idiom_.reg)
-            raiseAbort(AbortReason::IdiomShape);
-        idiom_.stage = 2;
-        return true;
-      }
-      case 2: {
-        if (inst.op != Opcode::Cmp || !inst.hasImm ||
-            inst.imm != satMin || inst.src1 != idiom_.reg)
-            raiseAbort(AbortReason::IdiomShape);
-        idiom_.stage = 3;
-        return true;
-      }
-      case 3: {
-        if (inst.op != Opcode::Mov || inst.cond != Cond::LT ||
-            !inst.hasImm || inst.imm != satMin || inst.dst != idiom_.reg)
-            raiseAbort(AbortReason::IdiomShape);
-        Inst &def = ucode_[idiom_.defSlot].inst;
-        if (def.op == Opcode::Vadd)
-            def.op = Opcode::Vqadd;
-        else if (def.op == Opcode::Vsub)
-            def.op = Opcode::Vqsub;
-        else
-            raiseAbort(AbortReason::IdiomBadProducer);
-        stats_.inc("idiomsRecognized");
-        idiom_ = IdiomState{};
-        return true;
-      }
-      default:
-        panic("bad idiom stage");
-    }
-}
-
-void
-Translator::buildMov(const RetireInfo &info)
-{
-    const Inst &inst = *info.inst;
-    if (inst.cond != Cond::AL)
-        raiseAbort(AbortReason::ConditionalMov);  // only legal inside idioms
-
-    if (inst.hasImm) {
-        // Rule 1: mov r, #const marks an induction-variable candidate.
-        RegState &s = state(inst.dst);
-        s = RegState{};
-        s.kind = RegState::Kind::IndVar;
-        emit(inst, info.index);
-        return;
-    }
-
-    // Register move: legal only between plain scalars.
-    const RegState &src = state(inst.src1);
-    if (src.kind == RegState::Kind::Vector ||
-        src.kind == RegState::Kind::VecValues ||
-        src.kind == RegState::Kind::IndVar)
-        raiseAbort(AbortReason::MovFromNonScalar);
-    RegState &d = state(inst.dst);
-    d = RegState{};
-    d.kind = RegState::Kind::Scalar;
-    emit(inst, info.index);
-}
-
-void
-Translator::buildLoad(const RetireInfo &info)
-{
-    const Inst &inst = *info.inst;
-    if (!inst.mem.index.isValid())
-        raiseAbort(AbortReason::LoadWithoutIndex);
-
-    const RegState &idxState = state(inst.mem.index);
-    const OpInfo &op = inst.info();
-
-    if (idxState.kind == RegState::Kind::IndVar) {
-        // Rule 2: vector load; element width recorded from the opcode.
-        Inst vld = inst;
-        vld.op = op.vectorEquiv;
-        LIQUID_ASSERT(vld.op != Opcode::Nop);
-        vld.dst = inst.dst.toVector();
-        const int slot = emit(std::move(vld), info.index);
-
-        RegState &d = state(inst.dst);
-        d = RegState{};
-        d.kind = RegState::Kind::Vector;
-        d.elemSize = op.memElemSize;
-        d.producerUcode = slot;
-
-        BuildNote &n = note(info.index);
-        n.checkAddr = true;
-        n.firstEa = info.memAddr;
-        n.esize = op.memElemSize;
-
-        // "The value loaded is stored in the register state" — but only
-        // loads from read-only data can hold offsets/constants/masks,
-        // and only values narrow enough for the per-lane state. Wider
-        // values (e.g. float constants) are simply not recorded: the
-        // constant array stays an ordinary vector load, which is still
-        // exact (removing it "is not strictly necessary for
-        // correctness", paper Section 4.1).
-        if (prog_.isReadOnly(info.memAddr) && laneRepresentable(info.value)) {
-            d.stream = newStream(slot);
-            streams_[d.stream].values.push_back(info.value);
-            n.stream = d.stream;
-        }
-        return;
-    }
-
-    if (idxState.kind == RegState::Kind::VecValues) {
-        // Rule 3: shuffled load — vld indexed by the IV, then a
-        // permutation finalized once a full vector of offsets is known.
-        LIQUID_ASSERT(idxState.stream >= 0);
-        Inst vld = inst;
-        vld.op = op.vectorEquiv;
-        vld.dst = inst.dst.toVector();
-        vld.mem.index = idxState.ivReg;
-        emit(std::move(vld), info.index);
-
-        Inst vp = Inst::vperm(inst.dst.toVector(), inst.dst.toVector(),
-                              PermKind::SwapHalves, 2);  // placeholder
-        const int pslot = emit(std::move(vp), info.index);
-        patches_.push_back(
-            Patch{Patch::Kind::PermLoad, pslot, idxState.stream});
-
-        // The tentative vld of the offset array can be collapsed out of
-        // the microcode buffer (the paper's alignment network).
-        const int producer = streams_[idxState.stream].producerUcode;
-        if (producer >= 0)
-            ucode_[producer].collapseCandidate = true;
-
-        RegState &d = state(inst.dst);
-        d = RegState{};
-        d.kind = RegState::Kind::Vector;
-        d.elemSize = op.memElemSize;
-        d.producerUcode = pslot;
-        return;
-    }
-
-    raiseAbort(AbortReason::LoadBadIndex);
-}
-
-void
-Translator::buildStore(const RetireInfo &info)
-{
-    const Inst &inst = *info.inst;
-    if (!inst.mem.index.isValid())
-        raiseAbort(AbortReason::StoreWithoutIndex);
-
-    RegState &dataState = state(inst.src1);
-    if (dataState.kind != RegState::Kind::Vector)
-        raiseAbort(AbortReason::StoreScalarData);
-    if (dataState.producerUcode >= 0)
-        ucode_[dataState.producerUcode].keep = true;
-
-    const RegState &idxState = state(inst.mem.index);
-    const OpInfo &op = inst.info();
-    const RegId vdata = inst.src1.toVector();
-
-    if (idxState.kind == RegState::Kind::IndVar) {
-        // Rule 4: plain vector store.
-        Inst vst = inst;
-        vst.op = op.vectorEquiv;
-        vst.src1 = vdata;
-        emit(std::move(vst), info.index);
-
-        BuildNote &n = note(info.index);
-        n.checkAddr = true;
-        n.isStore = true;
-        n.firstEa = info.memAddr;
-        n.esize = op.memElemSize;
-        return;
-    }
-
-    if (idxState.kind == RegState::Kind::VecValues) {
-        // Rule 5: shuffled store — permute (inverse), then store at the
-        // IV-indexed address. The paper permutes in place, relying on
-        // the compiler to guarantee the register is dead afterwards; we
-        // permute into a reserved scratch vector register (v15/vf15,
-        // never allocated by the scalarizer) so the virtualized value
-        // survives any later use of the same register.
-        LIQUID_ASSERT(idxState.stream >= 0);
-        const RegId scratch(vdata.cls(), regsPerClass - 1);
-        Inst vp = Inst::vperm(scratch, vdata, PermKind::SwapHalves, 2);
-        const int pslot = emit(std::move(vp), info.index);
-        patches_.push_back(
-            Patch{Patch::Kind::PermStore, pslot, idxState.stream});
-
-        Inst vst = inst;
-        vst.op = op.vectorEquiv;
-        vst.src1 = scratch;
-        vst.mem.index = idxState.ivReg;
-        emit(std::move(vst), info.index);
-
-        const int producer = streams_[idxState.stream].producerUcode;
-        if (producer >= 0)
-            ucode_[producer].collapseCandidate = true;
-        return;
-    }
-
-    raiseAbort(AbortReason::StoreBadIndex);
-}
-
-void
-Translator::buildCmp(const RetireInfo &info)
-{
-    const Inst &inst = *info.inst;
-    const RegState &s1 = state(inst.src1);
-    if (s1.kind == RegState::Kind::Vector ||
-        s1.kind == RegState::Kind::VecValues)
-        raiseAbort(AbortReason::VectorCompare);  // idiom heads handled earlier
-    if (!inst.hasImm) {
-        const RegState &s2 = state(inst.src2);
-        if (s2.kind == RegState::Kind::Vector ||
-            s2.kind == RegState::Kind::VecValues)
-            raiseAbort(AbortReason::VectorCompare);
-    }
-    emit(inst, info.index);
-}
-
-void
-Translator::buildBranch(const RetireInfo &info)
-{
-    const Inst &inst = *info.inst;
-    LIQUID_ASSERT(inst.target >= 0);
-
-    if (info.branchTaken && inst.target > info.index)
-        raiseAbort(AbortReason::ForwardBranch);
-
-    // Emit the branch; its target is remapped from a static instruction
-    // index to a microcode index when the region commits.
-    Inst b = inst;
-    const int slot = emit(std::move(b), info.index);
-    ucode_[slot].branchNeedsRemap = true;
-
-    if (info.branchTaken && inst.target <= info.index) {
-        // First backedge: the loop body [target .. here] was just built;
-        // switch to verifying iterations 2..N against it.
-        auto it = ucodeStartOfStatic_.find(inst.target);
-        if (it == ucodeStartOfStatic_.end())
-            raiseAbort(AbortReason::BackedgeTargetUnseen);
-        mode_ = Mode::Verify;
-        loopStart_ = inst.target;
-        loopEnd_ = info.index;
-        expectIdx_ = loopStart_;
-        itersDone_ = 1;
-        loopUcodeStart_ = it->second;
-    }
-}
-
-void
-Translator::buildDataProc(const RetireInfo &info)
-{
-    const Inst &inst = *info.inst;
-    RegState &s1 = state(inst.src1);
-    RegState *s2 = inst.hasImm ? nullptr : &state(inst.src2);
-    using Kind = RegState::Kind;
-
-    auto isVec = [](const RegState *s) {
-        return s && s->kind == Kind::Vector;
-    };
-    auto isScalarish = [](const RegState &s) {
-        return s.kind == Kind::Scalar || s.kind == Kind::Unknown;
-    };
-
-    // Rule 9: reduction — dp r1, r1, r2 with scalar r1 and vector r2.
-    if (!inst.hasImm && inst.dst == inst.src1 &&
-        (isScalarish(s1) || s1.kind == Kind::IndVar) && isVec(s2)) {
-        const Opcode red = inst.info().reductionEquiv;
-        if (red == Opcode::Nop)
-            raiseAbort(AbortReason::UnsupportedReduction);
-        if (s2->producerUcode >= 0)
-            ucode_[s2->producerUcode].keep = true;
-        Inst vr = Inst::vred(red, inst.dst, inst.src2.toVector());
-        const int slot = emit(std::move(vr), info.index);
-        ucode_[slot].needsLoop = true;
-        RegState &d = state(inst.dst);
-        d = RegState{};
-        d.kind = Kind::Scalar;
-        return;
-    }
-
-    // Rule 8: offsets + induction variable — no instruction generated;
-    // the loaded values are copied to the destination's state.
-    if (inst.op == Opcode::Add && !inst.hasImm) {
-        RegState *vals = nullptr;
-        RegId iv_reg;
-        if (s1.kind == Kind::IndVar && s2 && s2->kind == Kind::Vector &&
-            s2->stream >= 0) {
-            vals = s2;
-            iv_reg = inst.src1;
-        } else if (s2 && s2->kind == Kind::IndVar &&
-                   s1.kind == Kind::Vector && s1.stream >= 0) {
-            vals = &s1;
-            iv_reg = inst.src2;
-        }
-        if (vals) {
-            streams_[vals->stream].referenced = true;
-            const int stream = vals->stream;
-            RegState &d = state(inst.dst);
-            d = RegState{};
-            d.kind = Kind::VecValues;
-            d.stream = stream;
-            d.ivReg = iv_reg;
-            return;
-        }
-    }
-
-    // Rule 10 (generalized): self-increment of an induction-variable
-    // candidate by a constant becomes an increment by W * constant.
-    // This is also correct for constant-step accumulators.
-    if (inst.hasImm && inst.dst == inst.src1 &&
-        s1.kind == Kind::IndVar && inst.op == Opcode::Add) {
-        Inst step = inst;
-        step.imm = inst.imm * static_cast<std::int32_t>(captureWidth_);
-        const int slot = emit(std::move(step), info.index);
-        ucode_[slot].needsLoop = true;
-
-        BuildNote &n = note(info.index);
-        n.checkIv = true;
-        n.ivFirst = info.value;
-        n.ivStep = inst.imm;
-        return;
-    }
-
-    // Vector cases.
-    if (isVec(&s1) || isVec(s2)) {
-        const Opcode vop = inst.info().vectorEquiv;
-        if (vop == Opcode::Nop)
-            raiseAbort(AbortReason::NoVectorEquivalent);
-
-        if (isVec(&s1) && inst.hasImm) {
-            // Category 2: vector op with an immediate constant.
-            Inst vi = inst;
-            vi.op = vop;
-            vi.dst = inst.dst.toVector();
-            vi.src1 = inst.src1.toVector();
-            const int slot = emit(std::move(vi), info.index);
-            ucode_[slot].needsLoop = true;
-            if (s1.producerUcode >= 0)
-                ucode_[s1.producerUcode].keep = true;
-            RegState &d = state(inst.dst);
-            d = RegState{};
-            d.kind = Kind::Vector;
-            d.producerUcode = slot;
-            return;
-        }
-
-        if (isVec(&s1) && isVec(s2)) {
-            const bool c1 = s1.stream >= 0;
-            const bool c2 = s2->stream >= 0;
-            if (c1 != c2) {
-                // Rule 7: exactly one operand carries loaded values —
-                // emit a vector-constant op; the tentative vld of the
-                // constant array is collapsed.
-                RegState &cst = c1 ? s1 : *s2;
-                RegState &vec = c1 ? *s2 : s1;
-                streams_[cst.stream].referenced = true;
-                Inst vc;
-                vc.op = vop;
-                vc.dst = inst.dst.toVector();
-                vc.src1 = (c1 ? inst.src2 : inst.src1).toVector();
-                vc.cvec = 0;  // patched at loop finalize
-                const int slot = emit(std::move(vc), info.index);
-                ucode_[slot].needsLoop = true;
-                patches_.push_back(Patch{Patch::Kind::CvecOrMask, slot,
-                                         cst.stream});
-                const int producer =
-                    streams_[cst.stream].producerUcode;
-                if (producer >= 0)
-                    ucode_[producer].collapseCandidate = true;
-                if (vec.producerUcode >= 0)
-                    ucode_[vec.producerUcode].keep = true;
-                RegState &d = state(inst.dst);
-                d = RegState{};
-                d.kind = Kind::Vector;
-                d.producerUcode = slot;
-                return;
-            }
-
-            // Rule 6: plain data-parallel vector op.
-            Inst vv = inst;
-            vv.op = vop;
-            vv.dst = inst.dst.toVector();
-            vv.src1 = inst.src1.toVector();
-            vv.src2 = inst.src2.toVector();
-            const int slot = emit(std::move(vv), info.index);
-            ucode_[slot].needsLoop = true;
-            if (s1.producerUcode >= 0)
-                ucode_[s1.producerUcode].keep = true;
-            if (s2->producerUcode >= 0)
-                ucode_[s2->producerUcode].keep = true;
-            RegState &d = state(inst.dst);
-            d = RegState{};
-            d.kind = Kind::Vector;
-            d.elemSize = std::max(s1.elemSize, s2->elemSize);
-            d.producerUcode = slot;
-            return;
-        }
-
-        // Vector mixed with a live scalar register: not in the rule
-        // table (the scalar form would need a broadcast).
-        raiseAbort(AbortReason::VectorScalarMix);
-    }
-
-    if (s1.kind == Kind::VecValues || (s2 && s2->kind == Kind::VecValues))
-        raiseAbort(AbortReason::OffsetsInArithmetic);
-
-    // Rule 11: all source operands scalar — pass through unmodified.
-    // Values derived from the induction variable would diverge once the
-    // loop strides by W, so they abort instead.
-    if (s1.kind == Kind::IndVar || (s2 && s2->kind == Kind::IndVar))
-        raiseAbort(AbortReason::IvArithmetic);
-    emit(inst, info.index);
-    RegState &d = state(inst.dst);
-    d = RegState{};
-    d.kind = Kind::Scalar;
-}
-
-// ---------------------------------------------------------------------------
-// Verify phase: iterations 2..N of a recognized loop.
-// ---------------------------------------------------------------------------
-
-void
-Translator::verify(const RetireInfo &info)
-{
-    if (info.index != expectIdx_)
-        raiseAbort(AbortReason::ShapeMismatch);
-
-    const unsigned width = captureWidth_;
-    const unsigned iter = itersDone_ + 1;   // current iteration, 1-based
-    const std::size_t elem = iter - 1;      // element this iteration does
-
-    auto it = notes_.find(info.index);
-    if (it != notes_.end()) {
-        const BuildNote &n = it->second;
-        if (n.stream >= 0 && streams_[n.stream].referenced) {
-            auto &values = streams_[n.stream].values;
-            if (values.size() < width) {
-                if (!laneRepresentable(info.value))
-                    raiseAbort(AbortReason::ValueTooWide);
-                values.push_back(info.value);
-            } else if (info.value != values[elem % width]) {
-                raiseAbort(AbortReason::ValueMismatch);
-            }
-        }
-        if (n.checkAddr &&
-            info.memAddr !=
-                n.firstEa + static_cast<Addr>(elem * n.esize)) {
-            raiseAbort(AbortReason::AddressMismatch);
-        }
-        if (n.checkIv &&
-            info.value !=
-                n.ivFirst + static_cast<Word>(elem) *
-                                static_cast<Word>(n.ivStep)) {
-            raiseAbort(AbortReason::IvMismatch);
-        }
-    }
-
-    if (info.index == loopEnd_) {
-        ++itersDone_;
-        if (info.branchTaken) {
-            expectIdx_ = loopStart_;
-        } else {
-            finalizeLoop();
-            mode_ = Mode::Build;
-        }
-        return;
-    }
-    ++expectIdx_;
-}
-
-void
-Translator::finalizeLoop()
-{
-    const unsigned width = captureWidth_;
-
-    // The microcode strides W elements per iteration, so the trip count
-    // must be a whole number of vectors.
-    if (itersDone_ < width || itersDone_ % width != 0)
-        raiseAbort(AbortReason::TripCount);
-
-    // Cross-iteration memory dependences: the paper notes translated
-    // code is only "functionally correct as long as there were no
-    // memory dependences between scalar loop iterations" and leaves
-    // detection open. Because every tracked access is a unit-stride
-    // stream, the check is cheap: a store stream that begins *after*
-    // an overlapping load stream feeds later iterations and must
-    // abort (a store at or behind the load is read-before-write in
-    // both scalar and vector order).
-    for (const auto &[store_idx, store_note] : notes_) {
-        if (!store_note.isStore || !store_note.checkAddr)
-            continue;
-        if (store_idx < loopStart_ || store_idx > loopEnd_)
-            continue;
-        const Addr s0 = store_note.firstEa;
-        for (const auto &[load_idx, load_note] : notes_) {
-            if (load_note.isStore || !load_note.checkAddr)
-                continue;
-            if (load_idx < loopStart_ || load_idx > loopEnd_)
-                continue;
-            const Addr l0 = load_note.firstEa;
-            const Addr l_end =
-                l0 + itersDone_ * load_note.esize;
-            const Addr s_end =
-                s0 + itersDone_ * store_note.esize;
-            if (s0 > l0 && s0 < l_end && s_end > l0)
-                raiseAbort(AbortReason::MemoryDependence);
-        }
-    }
-
-    for (const Patch &p : patches_) {
-        const auto &values = streams_[p.stream].values;
-        if (values.size() < width)
-            raiseAbort(AbortReason::LanesIncomplete);
-
-        if (p.kind == Patch::Kind::CvecOrMask) {
-            // Reduce to the smallest period that explains the lanes.
-            unsigned period = width;
-            for (unsigned cand = 1; cand < width; cand *= 2) {
-                bool ok = true;
-                for (unsigned i = 0; i < width && ok; ++i)
-                    ok = values[i] == values[i % cand];
-                if (ok) {
-                    period = cand;
-                    break;
-                }
-            }
-            const bool mask_like = std::all_of(
-                values.begin(), values.begin() + width,
-                [](Word v) { return v == 0 || v == 0xFFFFFFFFu; });
-            Inst &inst = ucode_[p.ucodeIdx].inst;
-            if (mask_like && inst.op == Opcode::Vand) {
-                std::uint32_t bits = 0;
-                for (unsigned i = 0; i < period; ++i) {
-                    if (values[i])
-                        bits |= 1u << i;
-                }
-                inst.op = Opcode::Vmask;
-                inst.cvec = noCvec;
-                inst.maskBits = bits;
-                inst.maskBlock = static_cast<std::uint8_t>(
-                    std::max(period, 1u));
-            } else {
-                ConstVec cv;
-                cv.lanes.assign(values.begin(),
-                                values.begin() + period);
-                std::uint32_t id = 0;
-                for (; id < cvecs_.size(); ++id) {
-                    if (cvecs_[id] == cv)
-                        break;
-                }
-                if (id == cvecs_.size())
-                    cvecs_.push_back(std::move(cv));
-                inst.cvec = id;
-            }
-            continue;
-        }
-
-        // Permutations: CAM the offset pattern against the shuffles the
-        // accelerator supports at this width.
-        std::vector<std::int32_t> offsets;
-        offsets.reserve(width);
-        for (unsigned i = 0; i < width; ++i)
-            offsets.push_back(static_cast<std::int32_t>(
-                static_cast<SWord>(values[i])));
-        const auto match =
-            permCamLookup(offsets, width, config_.permRepertoire);
-        if (!match)
-            raiseAbort(AbortReason::UnsupportedShuffle);
-
-        Inst &inst = ucode_[p.ucodeIdx].inst;
-        inst.permKind = p.kind == Patch::Kind::PermStore
-                            ? permInverse(match->kind)
-                            : match->kind;
-        inst.permBlock = static_cast<std::uint8_t>(match->block);
-    }
-    patches_.clear();
-
-    for (std::size_t i = static_cast<std::size_t>(loopUcodeStart_);
-         i < ucode_.size(); ++i)
-        ucode_[i].loopVerified = true;
-
-    stats_.inc("loopsVerified");
-}
-
-// ---------------------------------------------------------------------------
-// Commit: compact the microcode buffer and publish to the cache.
-// ---------------------------------------------------------------------------
-
-void
-Translator::commit(Cycles now)
-{
-    if (idiom_.stage != 0)
-        raiseAbort(AbortReason::IdiomIncomplete);
-    if (!patches_.empty())
-        raiseAbort(AbortReason::UnfinalizedPatches);
-
-    // The alignment network collapses tentative offset-array loads whose
-    // only consumers were permutations or constants.
-    std::vector<int> new_index(ucode_.size(), -1);
-    std::vector<Inst> out;
-    for (std::size_t i = 0; i < ucode_.size(); ++i) {
-        UcodeSlot &slot = ucode_[i];
-        const bool drop =
-            slot.squashed || (config_.collapseEnabled &&
-                              slot.collapseCandidate && !slot.keep);
-        if (drop) {
-            stats_.inc("instsCollapsed");
-            continue;
-        }
-        if (slot.needsLoop && !slot.loopVerified)
-            raiseAbort(AbortReason::VectorOutsideLoop);
-        new_index[i] = static_cast<int>(out.size());
-        out.push_back(slot.inst);
-    }
-
-    // Remap branch targets from static indices to microcode indices:
-    // the target is the first surviving slot at or after the static
-    // target's first emission point.
-    for (std::size_t i = 0; i < ucode_.size(); ++i) {
-        if (new_index[i] < 0 || !ucode_[i].branchNeedsRemap)
-            continue;
-        Inst &b = out[static_cast<std::size_t>(new_index[i])];
-        auto it = ucodeStartOfStatic_.find(b.target);
-        if (it == ucodeStartOfStatic_.end())
-            raiseAbort(AbortReason::DanglingBranch);
-        int target = -1;
-        for (std::size_t j = static_cast<std::size_t>(it->second);
-             j < ucode_.size(); ++j) {
-            if (new_index[j] >= 0) {
-                target = new_index[j];
-                break;
-            }
-        }
-        if (target < 0)
-            raiseAbort(AbortReason::DanglingBranch);
-        b.target = target;
-        b.targetSym.clear();
-    }
+    const std::uint64_t observed = automaton_->observed();
 
     UcodeEntry entry;
     entry.entryAddr = regionEntry_;
-    entry.insts = std::move(out);
-    entry.cvecs = cvecs_;
-    entry.simdWidth = captureWidth_;
-    // Source code range for SMC invalidation: the region spans from its
-    // entry through the last static instruction the capture observed
-    // (the ret retires one past the largest recorded index).
-    entry.codeEnd =
-        ucodeStartOfStatic_.empty()
-            ? regionEntry_ + 4
-            : Program::instAddr(ucodeStartOfStatic_.rbegin()->first + 2);
+    entry.insts = std::move(translation.insts);
+    entry.cvecs = std::move(translation.cvecs);
+    entry.simdWidth = automaton_->width();
+    // Source code range for SMC invalidation.
+    entry.codeEnd = automaton_->codeEnd(regionEntry_);
     // The translator consumes the retire stream concurrently with
     // execution; it only delays readiness when its per-instruction
     // cost exceeds the core's effective CPI.
-    entry.readyAt = std::max(
-        now, regionStart_ + config_.latencyPerInst * observedInsts_);
+    entry.readyAt =
+        std::max(now, regionStart_ + config_.latencyPerInst * observed);
     cache_.insert(std::move(entry));
 
     stats_.inc("translations");
-    stats_.inc("instsTranslated", observedInsts_);
+    stats_.inc("instsTranslated", observed);
 
     // A commit that follows a recorded loss or abort of the same region
     // is a re-translation; count it keyed by what caused the redo.
@@ -988,7 +185,7 @@ Translator::commit(Cycles now)
                    abortReasonName(pending->second));
         pendingRetranslate_.erase(pending);
     }
-    resetCapture();
+    reset();
 }
 
 } // namespace liquid

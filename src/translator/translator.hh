@@ -1,36 +1,31 @@
 /**
  * @file
- * Post-retirement dynamic translator (paper Section 4).
+ * Post-retirement dynamic translator (paper Section 4): the runtime
+ * policy around the Table-3 rule automaton (rule_automaton.hh).
  *
  * The translator listens on the retire bus. When a bl into an outlined
- * function retires, it begins capturing; each retired scalar instruction
- * is pushed through the rule automaton of paper Table 3 to build SIMD
- * microcode. Multi-lane facts (permutation offset vectors, per-lane
- * constants, lane masks) are identified during the loop's first
- * iteration and collected/verified over the following iterations: lane
- * values accumulate in the per-register "previous values" state until
- * one full vector's worth is known, after which the permutation CAM and
- * constant pool are finalized and every later iteration is checked
- * against the prediction. Any mismatch — unknown opcode, unsupported
- * shuffle, trip count not a multiple of the accelerator width, external
- * interrupt — aborts translation (legality checks). On ret, the
- * microcode buffer is compacted (the paper's alignment network removes
- * collapsed offset loads) and written to the microcode cache.
+ * function retires, it binds a width and starts a RuleAutomaton, then
+ * feeds it every retired scalar instruction until the region's ret
+ * commits the microcode to the cache or a legality check aborts. The
+ * translator owns what outlives one capture: the width binding and
+ * hint checks, external aborts (interrupts, self-modifying code, lost
+ * translations), the abort policy (blacklist or narrower-width retry),
+ * the microcode cache insert, and the statistics.
  */
 
 #ifndef LIQUID_TRANSLATOR_TRANSLATOR_HH
 #define LIQUID_TRANSLATOR_TRANSLATOR_HH
 
-#include <cstdint>
+#include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
-#include <string>
-#include <vector>
 
 #include "common/stats.hh"
 #include "cpu/core.hh"
 #include "memory/ucode_cache.hh"
 #include "translator/abort_reason.hh"
+#include "translator/rule_automaton.hh"
 
 namespace liquid
 {
@@ -86,12 +81,30 @@ struct TranslatorConfig
     bool collapseEnabled = true;
 };
 
+/**
+ * Width a capture of a region binds at: the accelerator's
+ * @p simd_width, capped by the region's compiled maximum vectorizable
+ * width @p hint (0 = none), because data is only aligned that far
+ * (paper Section 3.1). Returns 0 when that is below 2: the translator
+ * never captures such a region.
+ */
+inline unsigned
+bindWidth(unsigned simd_width, unsigned hint)
+{
+    const unsigned w = hint != 0 ? std::min(simd_width, hint) : simd_width;
+    return w < 2 ? 0 : w;
+}
+
 /** Hardware dynamic translator model. */
 class Translator : public RetireSink
 {
   public:
     Translator(const TranslatorConfig &config, const Program &prog,
                UcodeCache &cache);
+    // The core holds this sink's address and the capture in flight
+    // refers to config_.
+    Translator(const Translator &) = delete;
+    Translator &operator=(const Translator &) = delete;
 
     // RetireSink interface -------------------------------------------------
     void onCall(Addr callee_entry, bool hinted, unsigned width_hint,
@@ -100,7 +113,7 @@ class Translator : public RetireSink
     void onReturn(Cycles now) override;
     void onInterrupt(Cycles now) override;
 
-    bool capturing() const { return mode_ != Mode::Idle; }
+    bool capturing() const { return automaton_.has_value(); }
     bool isBlacklisted(Addr entry) const
     {
         return blacklist_.count(entry) != 0;
@@ -133,121 +146,19 @@ class Translator : public RetireSink
     void noteCodeInvalidated(Addr lo, Addr hi, AbortReason reason);
 
   private:
-    enum class Mode
-    {
-        Idle,     ///< not capturing
-        Build,    ///< first pass through region code: emitting microcode
-        Verify,   ///< inside a recognized loop, checking iterations 2..N
-    };
-
-    /** Per-register translation state (the paper's 56 bits/register). */
-    struct RegState
-    {
-        enum class Kind : std::uint8_t
-        {
-            Unknown,
-            Scalar,     ///< plain scalar value
-            IndVar,     ///< induction-variable candidate (mov r, #c)
-            Vector,     ///< virtualizes a vector register
-            VecValues,  ///< offsets copied from a loaded value stream
-        };
-        Kind kind = Kind::Unknown;
-        unsigned elemSize = 4;
-        int stream = -1;        ///< value stream feeding this register
-        int producerUcode = -1; ///< ucode slot of the vld that defined it
-        RegId ivReg;            ///< VecValues: the IV it was combined with
-        std::int32_t ivStep = 1;
-    };
-
-    /** Per-iteration values observed from one static load. */
-    struct ValueStream
-    {
-        std::vector<Word> values;  ///< capped at simdWidth lanes
-        int producerUcode = -1;    ///< tentative vld slot (collapsible)
-        bool referenced = false;   ///< consumed as offsets/constants
-    };
-
-    /** Emitted microcode slot (pre-compaction buffer). */
-    struct UcodeSlot
-    {
-        Inst inst;
-        bool squashed = false;        ///< removed by the collapse network
-        bool collapseCandidate = false;
-        bool keep = false;            ///< has a real vector consumer
-        bool loopVerified = false;
-        bool needsLoop = false;       ///< must end up in a verified loop
-        bool branchNeedsRemap = false; ///< inst.target is a static index
-    };
-
-    /** Deferred multi-lane finalization. */
-    struct Patch
-    {
-        enum class Kind
-        {
-            PermLoad,   ///< vperm after a shuffled load
-            PermStore,  ///< vperm before a shuffled store (inverse)
-            CvecOrMask, ///< per-lane constant / lane mask operand
-        };
-        Kind kind;
-        int ucodeIdx;
-        int stream;
-    };
-
-    /** What to check when this static instruction retires again. */
-    struct BuildNote
-    {
-        int stream = -1;       ///< append/verify the retired value
-        bool checkAddr = false;
-        bool isStore = false;
-        Addr firstEa = 0;
-        unsigned esize = 0;
-        bool checkIv = false;
-        Word ivFirst = 0;
-        std::int32_t ivStep = 1;
-    };
-
-    /** Saturation idiom recognizer state. */
-    struct IdiomState
-    {
-        int stage = 0;      ///< 0: none, 1..3: inside the idiom
-        RegId reg;
-        int defSlot = -1;   ///< ucode slot holding the vadd/vsub to patch
-    };
-
-    // Build-phase rule handlers.
-    void build(const RetireInfo &info);
-    void buildMov(const RetireInfo &info);
-    void buildLoad(const RetireInfo &info);
-    void buildStore(const RetireInfo &info);
-    void buildDataProc(const RetireInfo &info);
-    void buildCmp(const RetireInfo &info);
-    void buildBranch(const RetireInfo &info);
-    bool handleIdiom(const RetireInfo &info);
-
-    // Verify-phase handler.
-    void verify(const RetireInfo &info);
-    void finalizeLoop();
-
-    void commit(Cycles now);
+    void commit(RuleAutomaton::Translation translation, Cycles now);
     void abort(AbortReason reason);
-    void resetCapture();
-
-    RegState &state(RegId reg);
-    int newStream(int producer_ucode);
-    int emit(Inst inst, int static_idx);
-    BuildNote &note(int static_idx);
+    void reset();
 
     TranslatorConfig config_;
     const Program &prog_;
     UcodeCache &cache_;
     StatGroup stats_;
 
-    Mode mode_ = Mode::Idle;
+    /** The capture in flight; empty when idle. */
+    std::optional<RuleAutomaton> automaton_;
     Addr regionEntry_ = invalidAddr;
     Cycles regionStart_ = 0;
-    std::uint64_t observedInsts_ = 0;
-    /** Width this capture binds to (may be below the accelerator's). */
-    unsigned captureWidth_ = 0;
     /** Regions that must retry at a reduced width. */
     std::map<Addr, unsigned> retryWidth_;
     /**
@@ -256,24 +167,8 @@ class Translator : public RetireSink
      * "retranslations" and "retranslate.<reason>".
      */
     std::map<Addr, AbortReason> pendingRetranslate_;
-    /** Most recent abort reason (survives resetCapture). */
+    /** Most recent abort reason (survives reset). */
     AbortReason lastAbort_ = AbortReason::None;
-
-    std::vector<RegState> regs_;
-    std::vector<ValueStream> streams_;
-    std::vector<UcodeSlot> ucode_;
-    std::vector<ConstVec> cvecs_;
-    std::vector<Patch> patches_;
-    std::map<int, int> ucodeStartOfStatic_;
-    std::map<int, BuildNote> notes_;
-    IdiomState idiom_;
-
-    // Loop verification state.
-    int loopStart_ = -1;       ///< static index of the loop head
-    int loopEnd_ = -1;         ///< static index of the backedge branch
-    int expectIdx_ = -1;       ///< next expected static index
-    unsigned itersDone_ = 0;
-    int loopUcodeStart_ = -1;
 
     std::set<Addr> blacklist_;
 };

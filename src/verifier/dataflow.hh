@@ -19,7 +19,10 @@
  *
  * The machine mirrors Core::execute's observable effects (register
  * writes, flags, effective addresses, load values) without touching a
- * Core, a MainMemory, or any mutable state outside this object.
+ * Core, a MainMemory, or any mutable state outside this object. Its
+ * values live on the constant lattice AbsVal (Known(value) or Top),
+ * and each step yields the AbsRetire record the rule automaton
+ * consumes (translator/rule_automaton.hh).
  */
 
 #ifndef LIQUID_VERIFIER_DATAFLOW_HH
@@ -32,33 +35,10 @@
 #include <vector>
 
 #include "asm/program.hh"
+#include "translator/rule_automaton.hh"
 
 namespace liquid
 {
-
-/** Constant lattice: a known word or Top (runtime-dependent). */
-struct AbsVal
-{
-    bool known = false;
-    Word value = 0;
-
-    static AbsVal top() { return AbsVal{}; }
-    static AbsVal of(Word v) { return AbsVal{true, v}; }
-};
-
-/**
- * Static analogue of RetireInfo: what the rule automaton would have
- * observed on the retirement bus, with Top where the value depends on
- * runtime state.
- */
-struct AbsRetire
-{
-    const Inst *inst = nullptr;
-    int index = -1;
-    AbsVal value;           ///< load/mov/data-proc result, store data
-    AbsVal memAddr;         ///< effective address of loads/stores
-    bool branchTaken = false;  ///< branches; caller resolved it first
-};
 
 /** Tri-state branch outcome. */
 enum class Taken : std::int8_t

@@ -50,7 +50,7 @@ loopOf(const std::vector<LoopRange> &loops, int index)
     return best;
 }
 
-/** Walk failure: names the runtime condition, like the rule mirror. */
+/** Walk failure: names the runtime condition, like the rule walk. */
 struct WalkStop
 {
     std::string why;
@@ -61,7 +61,7 @@ struct WalkStop
 /**
  * Execute the region abstractly and collect the memory-event trace.
  * Throws WalkStop when an address, predicate or branch is
- * runtime-dependent (the cases the rule mirror reports as Warn, plus
+ * runtime-dependent (the cases the rule walk reports as Warn, plus
  * predicated memory accesses, which the translator vectorizes
  * unconditionally and so are never provably order-safe).
  */

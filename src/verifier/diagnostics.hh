@@ -96,7 +96,7 @@ struct RegionReport
 
     /**
      * Range-analysis attachment (VerifyOptions::ranges): the proven
-     * entry facts the mirror/depcheck walks consumed (each also
+     * entry facts the rule/depcheck walks consumed (each also
      * surfaced as a `range:` Ok diagnostic), and how many depcheck
      * width verdicts the footprint/congruence argument discharged to
      * Safe past the pair-test budget.
@@ -123,7 +123,7 @@ struct RegionReport
     unsigned analyzedInsts = 0;    ///< abstract retires walked
     /**
      * Clobber-check lookups across every AbsMachine walk of this
-     * region (rule mirror at each width, depcheck): a deterministic
+     * region (rule walk at each width, depcheck): a deterministic
      * work counter, not part of any report.
      */
     std::uint64_t clobberProbes = 0;

@@ -18,7 +18,7 @@
  * results only through scalar registers the caller reads back
  * (accumulators), keeps its induction variables private, and never
  * spills inside the loop body. None of that is checkable from the
- * Table-1 rule mirror alone, which assumes the scalarizer already
+ * Table-1 rule automaton alone, which assumes the scalarizer already
  * enforced the discipline.
  */
 

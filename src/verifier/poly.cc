@@ -32,7 +32,7 @@ sabOn(unsigned mask, PolySabotage bit)
     return (mask & static_cast<unsigned>(bit)) != 0;
 }
 
-/** The recording sink: turns rules.cc's width checks into events. */
+/** The recording sink: turns the rule automaton's width checks into events. */
 class Recorder : public WidthCheckSink
 {
   public:

@@ -2,7 +2,7 @@
  * @file
  * Width-polymorphic static verification ("liquid-poly").
  *
- * The per-width pipeline (rules.cc Table-1 conformance, depcheck's
+ * The per-width pipeline (rules.hh Table-1 conformance, depcheck's
  * group/order-flip distance proofs) asks "is width N safe?" once per
  * ladder entry. This pass asks the question once, symbolically: one
  * width-independent recording walk captures every width-dependent

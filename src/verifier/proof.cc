@@ -531,13 +531,11 @@ proveAtWidth(const Program &prog, int entry_index, unsigned width_hint,
     WidthProof wp;
     wp.width = width;
 
-    // The dynamic translator's binding cascade: start at
-    // min(width, hint) and halve while the abort is width-dependent.
-    unsigned start = width;
-    if (width_hint != 0)
-        start = std::min(start, width_hint);
+    // The dynamic translator's binding cascade: start at bindWidth()
+    // and halve while the abort is width-dependent.
     AbortReason last = AbortReason::None;
-    for (unsigned bind = start; bind >= 2; bind /= 2) {
+    for (unsigned bind = bindWidth(width, width_hint); bind >= 2;
+         bind /= 2) {
         OfflineResult off =
             translateOffline(prog, entry_index, bind, width_hint);
         if (off.ok) {

@@ -22,7 +22,7 @@
  * pattern as `solveProgramLiveness`.
  *
  * Consumers:
- *  - the verifier seeds `AbsMachine` walks (rule mirror + depcheck)
+ *  - the verifier seeds `AbsMachine` walks (rule automaton + depcheck)
  *    with proven-constant entry registers and memory cells, turning
  *    runtime-dependent Warns into concrete verdicts;
  *  - depcheck Unknowns are discharged by footprint interval
@@ -329,7 +329,7 @@ ProgramRanges solveProgramRanges(const Program &prog,
 
 /**
  * Adapter handing a region's proven entry facts to `AbsMachine`: the
- * rule-mirror and depcheck walks resolve entry registers and
+ * rule-automaton and depcheck walks resolve entry registers and
  * writable-memory loads the analysis pinned to constants.
  */
 class RangeFacts : public EntryFacts

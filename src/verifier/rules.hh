@@ -6,17 +6,17 @@
  * driving two coupled machines:
  *  - an AbsMachine (dataflow.hh) that supplies the values the dynamic
  *    translator would have observed on the retire bus, and
- *  - a static mirror of the Translator's rule automaton (build /
- *    verify / finalize / commit), identical decision-for-decision to
- *    src/translator/translator.cc but consuming AbsRetire records
- *    instead of hardware retires.
+ *  - the translator's own RuleAutomaton (translator/rule_automaton.hh),
+ *    the same build / verify / finalize / commit code the hardware
+ *    model runs, fed AbsMachine's records instead of hardware retires.
  *
  * The outcome is therefore a *prediction* of translateOffline() at the
  * same width: Ok predicts a commit (with the exact microcode size and
  * constant-pool count), Error predicts an abort with the given reason,
  * and Warn means some decision needed runtime state the analysis
- * cannot see (a branch on non-constant data, control flow leaving the
- * text, a region longer than the analysis budget).
+ * cannot see (a branch on non-constant data, an address or value the
+ * automaton must check, control flow leaving the text, a region longer
+ * than the analysis budget).
  */
 
 #ifndef LIQUID_VERIFIER_RULES_HH
@@ -59,39 +59,9 @@ struct StaticOutcome
 class EntryFacts;
 
 /**
- * Observer for the width-dependent checks of the rule automaton
- * (liquid-poly). When a sink is installed, analyzeRegion runs one
- * width-*independent* walk: every check that consults the binding
- * width is reported to the sink instead of being evaluated, and the
- * walk continues as if it had passed (streams capture every lane,
- * trip-count/lane-count/permutation aborts are deferred). The sink
- * receives the checks in exact program order, so replaying them
- * against a concrete N reproduces the width-bound walk's first abort.
- * Width-independent aborts (address/IV mismatch, the store-vs-load
- * interval test, commit-time shape checks) still fire normally.
- */
-class WidthCheckSink
-{
-  public:
-    virtual ~WidthCheckSink() = default;
-    /** Stream @p stream seeded with lane 0 (= @p value) at build. */
-    virtual void onStreamSeed(int stream, Word value) = 0;
-    /** Constant-pool load observed lane @p elem with @p value. */
-    virtual void onStreamLane(int inst_index, int stream,
-                              std::size_t elem, Word value) = 0;
-    /** Loop at @p inst_index finalized after @p iters iterations. */
-    virtual void onTripCount(int inst_index, unsigned iters) = 0;
-    /** Patch on @p stream finalized having seen @p observed lanes. */
-    virtual void onLanes(int inst_index, int stream,
-                         std::size_t observed) = 0;
-    /** Permutation patch on @p stream (load or store side). */
-    virtual void onPerm(int inst_index, int stream, bool is_store) = 0;
-};
-
-/**
  * Statically analyze the region entered at @p entry_index, bound at
- * @p capture_width lanes (the caller applies the width hint and any
- * fallback halving, mirroring Translator::onCall). @p facts supplies
+ * @p capture_width lanes (the caller applies bindWidth() and any
+ * fallback halving, as Translator::onCall does). @p facts supplies
  * proven region-entry values from the whole-program range analysis;
  * null reproduces the facts-free walk. A non-null @p poly switches the
  * walk into the width-polymorphic recording mode described on

@@ -21,8 +21,8 @@
  *                     reads back, induction variables stay private,
  *                     no spill-like traffic inside loop bodies, and
  *                     only reducible loops.
- *   3. prediction   — pipe each surviving candidate through the PR-1
- *                     Table-1 rule mirror, depcheck and the cost model
+ *   3. prediction   — pipe each surviving candidate through the verifier's
+ *                     Table-1 rule walk, depcheck and the cost model
  *                     at every width in ScanOptions::widths, yielding
  *                     a per-region, per-width static speedup.
  *

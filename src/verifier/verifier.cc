@@ -95,11 +95,8 @@ verifyRegionImpl(const Program &prog, int entry_index,
         report.diags.push_back(std::move(d));
     }
 
-    // Mirror of Translator::onCall width binding.
-    unsigned bind = opts.config.simdWidth;
-    if (width_hint != 0)
-        bind = std::min(bind, width_hint);
-    if (bind < 2) {
+    unsigned bind = bindWidth(opts.config.simdWidth, width_hint);
+    if (bind == 0) {
         report.verdict = Severity::Warn;
         Diagnostic d;
         d.severity = Severity::Warn;
@@ -111,7 +108,7 @@ verifyRegionImpl(const Program &prog, int entry_index,
     }
 
     // Proven region-entry facts from the whole-program range analysis
-    // feed both abstract walks (the rule mirror and depcheck).
+    // feed both abstract walks (the rule automaton and depcheck).
     std::optional<RangeFacts> rangeFacts;
     const EntryFacts *facts = nullptr;
     if (opts.ranges && opts.ranges->sound) {
@@ -431,7 +428,7 @@ verifyRegionImpl(const Program &prog, int entry_index,
 
         if (outcome.verdict == Severity::Warn) {
             headline(Severity::Warn, AbortReason::None);
-            // The mirror cannot predict this width's outcome, but a
+            // The rule walk cannot predict this width's outcome, but a
             // narrower width may still be certifiable; keep walking so
             // a later-width Ok can claim the region.
             warnOnce(outcome.reasonIndex, outcome.warnCondition);

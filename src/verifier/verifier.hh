@@ -51,7 +51,7 @@ struct VerifyOptions
     bool prove = false;
     /**
      * Whole-program value-range analysis (range.hh). When set and
-     * sound, proven region-entry facts seed the rule-mirror and
+     * sound, proven region-entry facts seed the rule-automaton and
      * depcheck walks (turning runtime-dependent Warns into concrete
      * verdicts), and pair-budget-exhausted depcheck Unknowns are
      * discharged by footprint disjointness or congruence separation.

@@ -10,7 +10,7 @@ namespace
 
 /**
  * Loop bound passed in a register: main pins r5 = 64, fn loops on
- * `cmp r1, r5`. Without entry facts the mirror walk hits a branch on
+ * `cmp r1, r5`. Without entry facts the rule walk hits a branch on
  * runtime data (Warn); the interprocedural analysis proves r5 = 64
  * over the single call site and the walk turns concrete.
  */
@@ -76,7 +76,7 @@ main:
 /**
  * Pair-budget exhaustion: 9 input and 8 output arrays of n = 5888
  * words, ~32 instructions per iteration with a saturation idiom. The
- * mirror walk commits (under the step budget), but the all-widths
+ * rule walk commits (under the step budget), but the all-widths
  * pairwise overlap test blows the 2^24 pair budget at width 16 and the
  * prover gives up at 9 distinct leaves — only the footprint/congruence
  * argument over the range facts discharges w16.

@@ -390,7 +390,7 @@ TEST(DataflowEdge, StoreEndingAt4GiBClobbersItsOwnCell)
  * 9 loads and 8 stores with range facts on, so every load consults
  * the clobber check. The hashed store set probes at most
  * maxStoreSize + size - 1 starts per load: 741 762 probes over the
- * rule-mirror and depcheck walks at width 16. The bound is about twice
+ * rule-automaton and depcheck walks at width 16. The bound is about twice
  * that; a linear scan over earlier stores costs ~1.2e9 comparisons
  * per walk.
  */

@@ -1,8 +1,12 @@
 /**
  * @file
  * Differential checking of the static verifier against the dynamic
- * translator (via the offline translator, which drives the identical
- * rule automaton): over every workload-suite kernel and 200+
+ * translator. Both run the same rule automaton
+ * (translator/rule_automaton.hh): the verifier feeds it AbsMachine's
+ * abstract retires, the offline translator feeds it a scalar core's
+ * real retires. So this test checks AbsMachine's values, and the
+ * verifier's handling of the ones it cannot know, against the values
+ * the core retires. Over every workload-suite kernel and 200+
  * randomized vir::Kernels,
  *
  *   static Ok    => dynamic translation commits, with the predicted

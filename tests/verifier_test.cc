@@ -13,6 +13,7 @@
 #include "random_kernels.hh"
 #include "translator/offline.hh"
 #include "verifier/cfg.hh"
+#include "verifier/rules.hh"
 #include "verifier/verifier.hh"
 
 namespace liquid
@@ -105,30 +106,123 @@ TEST(Verifier, PredictsExactReasonForEveryLegalityCheck)
     }
 }
 
+/**
+ * Every place the rule automaton needs a value the static walk may not
+ * know becomes a Warn naming the runtime condition, decided at the
+ * instruction labelled `site`. These sites are the only place where a
+ * static walk of the automaton can part from a dynamic one.
+ */
 TEST(Verifier, WarnNamesTheRuntimeCondition)
 {
-    // The branch depends on an uninitialized register: the outcome is
-    // runtime state the static analysis cannot see.
-    const Program prog = assemble(withMain(R"(
-        fn:
-            mov r1, r2
-            cmp r1, #0
-            bgt skip
-        skip:
-            ret
-    )"));
-    VerifyOptions opts;
-    const RegionReport r =
-        verifyRegion(prog, prog.labelIndex("fn"), opts);
-    EXPECT_EQ(r.verdict, Severity::Warn);
-    ASSERT_FALSE(r.diags.empty());
-    bool named = false;
-    for (const Diagnostic &d : r.diags) {
-        if (d.severity == Severity::Warn &&
-            d.message.find("runtime") != std::string::npos)
-            named = true;
+    struct Case
+    {
+        const char *what;
+        const char *message;
+        std::string src;
+    };
+    // `addgt` under flags set from an unknown register leaves the
+    // induction variable's abstract value unknown while the automaton
+    // still tracks it as an induction variable.
+    const Case cases[] = {
+        {"branch",
+         "branch depends on runtime data (flags set by the cmp at inst 1)",
+         withMain(R"(
+            fn:
+                mov r1, r2
+                cmp r1, #0
+            site:
+                bgt skip
+            skip:
+                ret
+        )")},
+        {"load address", "load address depends on runtime data",
+         withMain(R"(
+            .words src 1 2 3 4 5 6 7 8
+            fn:
+                mov r0, #0
+                cmp r2, #0
+                addgt r0, r0, #1
+            site:
+                ldw r1, [src + r0]
+                ret
+        )")},
+        {"store address", "store address depends on runtime data",
+         withMain(R"(
+            .words src 1 2 3 4 5 6 7 8
+            .data dst 32
+            fn:
+                mov r0, #0
+                ldw r1, [src + r0]
+                cmp r2, #0
+                addgt r0, r0, #1
+            site:
+                stw [dst + r0], r1
+                ret
+        )")},
+        {"induction variable",
+         "induction variable value depends on runtime data", withMain(R"(
+            fn:
+                mov r0, #0
+                cmp r2, #0
+                addgt r0, r0, #1
+            site:
+                add r0, r0, #1
+                ret
+        )")},
+        {"constant-pool load",
+         "constant-pool load depends on runtime data", withMain(R"(
+            .words src 1 2 3 4 5 6 7 8
+            .rowords tbl 1 2 3 4 5 6 7 8
+            fn:
+                mov r0, #0
+                ldw r1, [src + r0]
+                stw [tbl + r0], r1
+            site:
+                ldw r2, [tbl + r0]
+                ret
+        )")},
+        {"stream address", "stream address depends on runtime data",
+         withMain(R"(
+            .words src 1 2 3 4 5 6 7 8
+            .data dst 32
+            fn:
+                mov r0, #0
+                mov r3, #0
+            site:
+                ldw r1, [src + r0]
+                stw [dst + r0], r1
+                cmp r2, #0
+                addgt r0, r0, #1
+                add r3, r3, #1
+                cmp r3, #8
+                blt site
+                ret
+        )")},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.what);
+        const Program prog = assemble(c.src);
+        const int entry = prog.labelIndex("fn");
+        const int site = prog.labelIndex("site");
+
+        TranslatorConfig config;
+        const StaticOutcome out = analyzeRegion(prog, entry, config, 8);
+        EXPECT_EQ(out.verdict, Severity::Warn);
+        EXPECT_EQ(out.warnCondition, c.message);
+        EXPECT_EQ(out.reasonIndex, site);
+
+        // The verifier surfaces the same condition at the same place.
+        VerifyOptions opts;
+        const RegionReport r = verifyRegion(prog, entry, opts);
+        EXPECT_EQ(r.verdict, Severity::Warn);
+        bool named = false;
+        for (const Diagnostic &d : r.diags) {
+            if (d.severity == Severity::Warn && d.message == c.message &&
+                d.instIndex == site)
+                named = true;
+        }
+        EXPECT_TRUE(named);
     }
-    EXPECT_TRUE(named);
 }
 
 TEST(Verifier, WidthFallbackRebindsNarrower)

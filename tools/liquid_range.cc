@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "asm/assembler.hh"
+#include "common/cli.hh"
 #include "common/json.hh"
 #include "sim/system.hh"
 #include "verifier/range.hh"
@@ -87,29 +88,14 @@ usage()
 }
 
 bool
-parseWidths(const std::string &arg, std::vector<unsigned> &widths)
-{
-    widths.clear();
-    std::istringstream is(arg);
-    std::string tok;
-    while (std::getline(is, tok, ',')) {
-        if (tok.empty())
-            return false;
-        widths.push_back(static_cast<unsigned>(std::stoul(tok)));
-    }
-    return !widths.empty();
-}
-
-bool
 parseArgs(int argc, char **argv, Options &opt)
 {
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--widths") {
-            if (i + 1 >= argc || !parseWidths(argv[++i], opt.widths)) {
-                std::cerr << "bad --widths value\n";
+            if (!parseWidths(i + 1 < argc ? argv[++i] : nullptr,
+                             opt.widths))
                 return false;
-            }
         } else if (arg == "--suite") {
             opt.suite = true;
         } else if (arg == "--sabotage") {

@@ -8,7 +8,7 @@
  * the bl/ret convention), checks each function's natural loops against
  * the paper's region-boundary liveness contract, and predicts the
  * translated speedup at each accelerator width via the Table-1 rule
- * mirror, depcheck and the cost model.
+ * automaton, depcheck and the cost model.
  *
  *   liquid-scan prog.s                    # scan one binary
  *   liquid-scan --suite                   # scan the unhinted suite
@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "asm/assembler.hh"
+#include "common/cli.hh"
 #include "common/json.hh"
 #include "lab/predict.hh"
 #include "verifier/range.hh"
@@ -93,24 +94,6 @@ usage()
 }
 
 bool
-parseWidths(const std::string &list, std::vector<unsigned> &out)
-{
-    out.clear();
-    std::istringstream is(list);
-    std::string tok;
-    while (std::getline(is, tok, ',')) {
-        if (tok.empty())
-            return false;
-        const unsigned w =
-            static_cast<unsigned>(std::stoul(tok));
-        if (w < 2 || (w & (w - 1)) != 0)
-            return false;
-        out.push_back(w);
-    }
-    return !out.empty();
-}
-
-bool
 parseArgs(int argc, char **argv, Options &opt)
 {
     for (int i = 1; i < argc; ++i) {
@@ -123,11 +106,9 @@ parseArgs(int argc, char **argv, Options &opt)
             return argv[++i];
         };
         if (arg == "--widths") {
-            const char *v = value();
-            if (!v || !parseWidths(v, opt.widths)) {
-                std::cerr << "bad width list\n";
+            if (!parseWidths(i + 1 < argc ? argv[++i] : nullptr,
+                             opt.widths))
                 return false;
-            }
         } else if (arg == "--no-fallback") {
             opt.fallback = false;
         } else if (arg == "--no-predict") {
