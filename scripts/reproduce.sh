@@ -20,11 +20,6 @@ echo "########## liquid-lab run --all"
 
 for b in "$BUILD"/bench/*; do
     [ -f "$b" ] && [ -x "$b" ] || continue
-    case "$(basename "$b")" in
-        # Covered by the lab campaigns above.
-        bench_fig6_speedup|bench_ucache_sweep|\
-        bench_latency_sweep|bench_cache_sweep) continue ;;
-    esac
     echo
     echo "########## $(basename "$b")"
     "$b"

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <sstream>
+#include <utility>
 
 #include "verifier/cfg.hh"
 #include "verifier/dataflow.hh"
@@ -12,17 +13,6 @@ namespace liquid
 
 namespace
 {
-
-/** One dynamic load/store execution inside a loop. */
-struct MemEvent
-{
-    int loop;          ///< loop id (index into the walker's ranges)
-    unsigned iter;     ///< 0-based iteration of that loop
-    int pos;           ///< instruction index = textual position
-    Addr ea;
-    unsigned size;
-    bool isStore;
-};
 
 /** Instruction range [first, last] of one natural loop. */
 struct LoopRange
@@ -65,12 +55,12 @@ struct WalkStop
  * predicated memory accesses, which the translator vectorizes
  * unconditionally and so are never provably order-safe).
  */
-std::vector<MemEvent>
+std::vector<DepEvent>
 walkRegion(const Program &prog, int entry_index,
            const std::vector<LoopRange> &loops,
            const DepcheckOptions &opts, AbsMachine &machine)
 {
-    std::vector<MemEvent> events;
+    std::vector<DepEvent> events;
     std::vector<unsigned> iterOf(loops.size(), 0);
 
     const auto &code = prog.code();
@@ -114,7 +104,7 @@ walkRegion(const Program &prog, int entry_index,
                         "memory address depends on runtime data", pc,
                         DepReason::RuntimeAddress};
                 }
-                events.push_back(MemEvent{
+                events.push_back(DepEvent{
                     loop, iterOf[static_cast<std::size_t>(loop)], pc,
                     ri.memAddr.value, info.memElemSize, info.isStore});
             }
@@ -134,14 +124,14 @@ walkRegion(const Program &prog, int entry_index,
 
 /** Classify each static access from its per-iteration address trace. */
 std::vector<MemAccess>
-classifyAccesses(const Program &prog, const std::vector<MemEvent> &events)
+classifyAccesses(const Program &prog, const std::vector<DepEvent> &events)
 {
     std::map<int, MemAccess> byInst;
     std::map<int, Addr> lastEa;
     std::map<int, bool> affine;
     std::map<int, unsigned> lastIter;
 
-    for (const MemEvent &e : events) {
+    for (const DepEvent &e : events) {
         auto it = byInst.find(e.pos);
         if (it == byInst.end()) {
             MemAccess a;
@@ -204,7 +194,7 @@ classifyAccesses(const Program &prog, const std::vector<MemEvent> &events)
 /** Byte-range overlap, in 64 bits so an access ending at 2^32 does
  *  not wrap to 0. */
 bool
-overlaps(const MemEvent &a, const MemEvent &b)
+overlaps(const DepEvent &a, const DepEvent &b)
 {
     return a.ea < std::uint64_t{b.ea} + b.size &&
            b.ea < std::uint64_t{a.ea} + a.size;
@@ -292,55 +282,39 @@ DepcheckResult
 analyzeDeps(const Program &prog, int entry_index, const RegionCfg &cfg,
             const DepcheckOptions &opts)
 {
+    PolyDeps deps = analyzePolyDeps(prog, entry_index, cfg, opts);
     DepcheckResult result;
-    if (cfg.loops().empty()) {
+    result.analyzed = deps.analyzed;
+    result.resolved = deps.resolved;
+    result.unresolvedWhy = deps.unresolvedWhy;
+    result.unresolvedReason = deps.unresolvedReason;
+    result.unresolvedIndex = deps.unresolvedIndex;
+    result.factsUsed = std::move(deps.factsUsed);
+    result.clobberProbes = deps.clobberProbes;
+    result.loopsAnalyzed = deps.loopsAnalyzed;
+    result.eventCount = static_cast<unsigned>(deps.events.size());
+    result.accesses = std::move(deps.accesses);
+    if (!deps.analyzed) {
         // No loops: every access executes once, in textual order, in
         // both scalar and microcode form.
-        result.resolved = true;
         for (auto &v : result.byWidth)
             v.kind = WidthVerdict::Kind::Safe;
         return result;
     }
-    result.analyzed = true;
-
-    std::vector<LoopRange> loops;
-    loops.reserve(cfg.loops().size());
-    for (const CfgLoop &l : cfg.loops()) {
-        loops.push_back(LoopRange{
-            cfg.blocks()[static_cast<std::size_t>(l.headBlock)].first,
-            l.backedgeIndex});
-    }
-    result.loopsAnalyzed = static_cast<unsigned>(loops.size());
-
-    std::vector<MemEvent> events;
-    AbsMachine machine(prog, opts.facts);
-    try {
-        events = walkRegion(prog, entry_index, loops, opts, machine);
-    } catch (const WalkStop &stop) {
-        result.resolved = false;
-        result.unresolvedWhy = stop.why;
-        result.unresolvedReason = stop.reason;
-        result.unresolvedIndex = stop.index;
-        result.factsUsed = machine.factsUsed();
-        result.clobberProbes = machine.clobberProbes();
+    if (!deps.resolved) {
         for (auto &v : result.byWidth) {
             v.kind = WidthVerdict::Kind::Unknown;
-            v.why = stop.why;
-            v.reason = stop.reason;
+            v.why = deps.unresolvedWhy;
+            v.reason = deps.unresolvedReason;
         }
         return result;
     }
-    result.resolved = true;
-    result.factsUsed = machine.factsUsed();
-    result.clobberProbes = machine.clobberProbes();
-    result.eventCount = static_cast<unsigned>(events.size());
-    result.accesses = classifyAccesses(prog, events);
 
     // Bucket events per (loop, group) and test store-vs-access pairs
     // inside each group. Widths ascend so a drained budget costs the
     // wide verdicts first.
-    std::vector<std::vector<const MemEvent *>> perLoop(loops.size());
-    for (const MemEvent &e : events)
+    std::vector<std::vector<const DepEvent *>> perLoop(deps.loopsAnalyzed);
+    for (const DepEvent &e : deps.events)
         perLoop[static_cast<std::size_t>(e.loop)].push_back(&e);
 
     unsigned long spent = 0;
@@ -380,13 +354,13 @@ analyzeDeps(const Program &prog, int entry_index, const RegionCfg &cfg,
                      i < gEnd && !budgetDry &&
                      verdict.kind == WidthVerdict::Kind::Safe;
                      ++i) {
-                    const MemEvent &a = *evs[i];
+                    const DepEvent &a = *evs[i];
                     if (!a.isStore)
                         continue;
                     for (std::size_t j = gBegin; j < gEnd; ++j) {
                         if (i == j)
                             continue;
-                        const MemEvent &b = *evs[j];
+                        const DepEvent &b = *evs[j];
                         if (a.isStore && b.isStore && j < i)
                             continue;  // store pairs tested once
                         if (++spent > opts.pairBudget) {
@@ -463,7 +437,7 @@ analyzePolyDeps(const Program &prog, int entry_index,
     }
     result.loopsAnalyzed = static_cast<unsigned>(loops.size());
 
-    std::vector<MemEvent> events;
+    std::vector<DepEvent> events;
     AbsMachine machine(prog, opts.facts);
     try {
         events = walkRegion(prog, entry_index, loops, opts, machine);
@@ -473,17 +447,16 @@ analyzePolyDeps(const Program &prog, int entry_index,
         result.unresolvedReason = stop.reason;
         result.unresolvedIndex = stop.index;
         result.factsUsed = machine.factsUsed();
+        result.clobberProbes = machine.clobberProbes();
         return result;
     }
     result.resolved = true;
     result.factsUsed = machine.factsUsed();
+    result.clobberProbes = machine.clobberProbes();
     result.accesses = classifyAccesses(prog, events);
-    result.events.reserve(events.size());
-    for (const MemEvent &e : events) {
-        result.events.push_back(DepEvent{e.loop, e.iter, e.pos, e.ea,
-                                         e.size, e.isStore});
+    for (const DepEvent &e : events)
         result.maxIter = std::max(result.maxIter, e.iter);
-    }
+    result.events = std::move(events);
     return result;
 }
 

@@ -191,10 +191,10 @@ DepcheckResult analyzeDeps(const Program &prog, int entry_index,
                            const DepcheckOptions &opts = {});
 
 /**
- * One dynamic load/store execution inside a loop, exported for the
- * width-polymorphic verifier (liquid-poly). Identical to the trace
- * analyzeDeps scans internally: iteration-ordered per loop, so group
- * runs at any width are contiguous.
+ * One dynamic load/store execution inside a loop: the trace both
+ * analyzeDeps and the width-polymorphic verifier (liquid-poly) scan.
+ * Iteration-ordered per loop, so group runs at any width are
+ * contiguous.
  */
 struct DepEvent
 {
@@ -209,9 +209,9 @@ struct DepEvent
 /**
  * The width-independent half of the dependence analysis: the walk and
  * the access classification, with the per-width group scan left to the
- * caller. liquid-poly replays the same scan analyzeDeps runs — same
- * event order, same overlap and order-flip predicates — at a symbolic
- * width, so one trace serves every N.
+ * caller. analyzeDeps runs that scan on this trace at the ladder
+ * widths; liquid-poly answers it at any N (DepPairIndex) with the same
+ * event order and the same overlap and order-flip predicates.
  */
 struct PolyDeps
 {
@@ -221,6 +221,8 @@ struct PolyDeps
     DepReason unresolvedReason = DepReason::None;
     int unresolvedIndex = -1;
     std::vector<std::string> factsUsed;
+    /** AbsMachine clobber-check lookups (work counter, unreported). */
+    std::uint64_t clobberProbes = 0;
 
     unsigned loopsAnalyzed = 0;
     std::vector<DepEvent> events;  ///< walk order (= scan order)
@@ -229,9 +231,9 @@ struct PolyDeps
 };
 
 /**
- * Run the walk + classification of analyzeDeps and return the raw
- * trace instead of per-width verdicts. Same AbsMachine, same budgets,
- * same failure cases (surfacing as resolved == false).
+ * Run the walk + classification and return the raw trace instead of
+ * per-width verdicts; analyzeDeps is this plus the group scan. Failures
+ * surface as resolved == false.
  */
 PolyDeps analyzePolyDeps(const Program &prog, int entry_index,
                          const RegionCfg &cfg,

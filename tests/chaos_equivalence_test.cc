@@ -29,21 +29,13 @@
 #include "common/logging.hh"
 #include "fast/reference.hh"
 #include "random_kernels.hh"
+#include "test_env.hh"
 #include "workloads/workload.hh"
 
 namespace liquid
 {
 namespace
 {
-
-unsigned
-envUnsigned(const char *name, unsigned fallback)
-{
-    const char *v = std::getenv(name);
-    if (!v || !*v)
-        return fallback;
-    return static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-}
 
 /**
  * Scalar ground truth. The functional tier computes it at a fraction
@@ -249,8 +241,8 @@ TEST(ChaosOracle, SabotageWithoutInterruptIsInert)
  */
 TEST(ChaosProperty, RandomKernelsUnderRandomSchedules)
 {
-    const unsigned trials = envUnsigned("LIQUID_CHAOS_TRIALS", 300);
-    const unsigned seed = envUnsigned("LIQUID_CHAOS_SEED", 1);
+    const unsigned trials = envKnob("LIQUID_CHAOS_TRIALS", 300u);
+    const unsigned seed = envKnob("LIQUID_CHAOS_SEED", 1u);
     Rng rng(seed);
     Rng data_rng(seed ^ 0x9e3779b9u);
 

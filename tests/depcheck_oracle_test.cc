@@ -32,6 +32,7 @@
 
 #include "fast/fast.hh"
 #include "random_kernels.hh"
+#include "test_env.hh"
 #include "sim/system.hh"
 #include "translator/offline.hh"
 #include "verifier/verifier.hh"
@@ -40,15 +41,6 @@ namespace liquid
 {
 namespace
 {
-
-unsigned
-envUnsigned(const char *name, unsigned fallback)
-{
-    const char *v = std::getenv(name);
-    if (!v || !*v)
-        return fallback;
-    return static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-}
 
 void
 dumpFailure(const Program &prog, const std::string &name)
@@ -215,8 +207,8 @@ TEST(DepcheckOracle, CleanKernelsNeverDiverge)
 TEST(DepcheckOracle, RandomizedKernelsAndLayouts)
 {
     using Sabotage = EmitOptions::Sabotage;
-    const unsigned trials = envUnsigned("LIQUID_ORACLE_TRIALS", 15);
-    const unsigned seed = envUnsigned("LIQUID_ORACLE_SEED", 811);
+    const unsigned trials = envKnob("LIQUID_ORACLE_TRIALS", 15u);
+    const unsigned seed = envKnob("LIQUID_ORACLE_SEED", 811u);
 
     Rng rng(seed);
     const Sabotage modes[] = {

@@ -12,7 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 
 #include "chaos/fault_schedule.hh"
@@ -21,20 +20,13 @@
 #include "fast/lockstep.hh"
 #include "fast/reference.hh"
 #include "random_kernels.hh"
+#include "test_env.hh"
 #include "workloads/workload.hh"
 
 namespace liquid::fast
 {
 namespace
 {
-
-unsigned
-envCount(const char *name, unsigned fallback)
-{
-    const char *v = std::getenv(name);
-    return v ? static_cast<unsigned>(std::strtoul(v, nullptr, 10))
-             : fallback;
-}
 
 std::string
 firstDivergence(const LockstepResult &r)
@@ -76,7 +68,7 @@ TEST(FastLockstep, SuiteNativeSimd)
  */
 TEST(FastLockstep, RandomKernels)
 {
-    const unsigned kernels = envCount("LIQUID_LOCKSTEP_KERNELS", 200);
+    const unsigned kernels = envKnob("LIQUID_LOCKSTEP_KERNELS", 200u);
     Rng rng(7);
     unsigned checked = 0;
     for (unsigned i = 0; i < kernels; ++i) {

@@ -13,7 +13,6 @@
  *   LIQUID_POLY_SEED    base seed (default 0x9E3779B97F4A7C15)
  */
 
-#include <cstdlib>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -24,26 +23,18 @@
 #include "verifier/poly.hh"
 
 #include "random_kernels.hh"
+#include "test_env.hh"
 
 using namespace liquid;
 
 namespace
 {
 
-std::uint64_t
-envU64(const char *name, std::uint64_t fallback)
-{
-    const char *v = std::getenv(name);
-    if (!v || !*v)
-        return fallback;
-    return std::strtoull(v, nullptr, 0);
-}
-
 TEST(PolyFuzz, RandomKernelsMatchConcreteVerdicts)
 {
-    const std::uint64_t trials = envU64("LIQUID_POLY_TRIALS", 300);
-    const std::uint64_t seed =
-        envU64("LIQUID_POLY_SEED", 0x9E3779B97F4A7C15ull);
+    const auto trials = envKnob<std::uint64_t>("LIQUID_POLY_TRIALS", 300);
+    const auto seed =
+        envKnob<std::uint64_t>("LIQUID_POLY_SEED", 0x9E3779B97F4A7C15ull);
     Rng rng(seed);
     Rng dataRng(seed ^ 0xD1B54A32D192ED03ull);
     const TranslatorConfig config;

@@ -30,18 +30,12 @@
 #include "verifier/proof.hh"
 
 #include "random_kernels.hh"
+#include "test_env.hh"
 
 using namespace liquid;
 
 namespace
 {
-
-unsigned
-envUnsigned(const char *name, unsigned fallback)
-{
-    const char *v = std::getenv(name);
-    return v ? static_cast<unsigned>(std::stoul(v)) : fallback;
-}
 
 /** Persist a divergent program for offline diagnosis. */
 void
@@ -64,8 +58,8 @@ dumpDivergence(const std::string &dir, unsigned trial, unsigned width,
 
 TEST(ProofFuzz, ProverAgreesWithExecutionOracle)
 {
-    const unsigned trials = envUnsigned("LIQUID_PROOF_TRIALS", 10);
-    const unsigned seed = envUnsigned("LIQUID_PROOF_SEED", 1);
+    const unsigned trials = envKnob("LIQUID_PROOF_TRIALS", 10u);
+    const unsigned seed = envKnob("LIQUID_PROOF_SEED", 1u);
     const char *dumpEnv = std::getenv("LIQUID_PROOF_DUMP_DIR");
     const std::string dumpDir = dumpEnv ? dumpEnv : "";
 

@@ -21,11 +21,11 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 
 #include "asm/assembler.hh"
 #include "random_kernels.hh"
+#include "test_env.hh"
 #include "sim/system.hh"
 #include "verifier/range.hh"
 #include "workloads/range_stress.hh"
@@ -35,15 +35,6 @@ namespace liquid
 {
 namespace
 {
-
-unsigned
-envUnsigned(const char *name, unsigned fallback)
-{
-    const char *v = std::getenv(name);
-    if (!v || !*v)
-        return fallback;
-    return static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-}
 
 struct OracleRun
 {
@@ -98,8 +89,8 @@ TEST(RangeOracle, WorkloadSuiteIsViolationFree)
 
 TEST(RangeOracle, RandomizedKernelsAreViolationFree)
 {
-    const unsigned trials = envUnsigned("LIQUID_ORACLE_TRIALS", 10);
-    const unsigned seed = envUnsigned("LIQUID_ORACLE_SEED", 919);
+    const unsigned trials = envKnob("LIQUID_ORACLE_TRIALS", 10u);
+    const unsigned seed = envKnob("LIQUID_ORACLE_SEED", 919u);
 
     Rng rng(seed);
     unsigned totalChecked = 0;

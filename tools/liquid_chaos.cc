@@ -14,12 +14,13 @@
  *   liquid-chaos smoke                      # suite x curated schedules
  *   liquid-chaos explore --window 16 --trials 8
  *                                           # exhaustive + randomized
- *   liquid-chaos run --schedule flush@80 --workload fir
+ *   liquid-chaos run --schedule flush@80 --workloads fir
  *                                           # replay one schedule key
  *
  * Common options: --width W (default 8), --workloads a,b,c, --json,
- * --seed S. Failing schedules print their canonical key, which feeds
- * straight back into `run --schedule`.
+ * --reference TIER; explore also takes --seed S. Failing schedules
+ * print their canonical key, which feeds straight back into
+ * `run --schedule`.
  *
  * The scalar reference side runs on the functional execution tier
  * (src/fast/) by default — it produces the identical architectural
@@ -31,14 +32,15 @@
  * 1 on any oracle mismatch; 2 on usage errors.
  */
 
-#include <cstdlib>
 #include <iostream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "chaos/oracle.hh"
+#include "common/cli.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "fast/reference.hh"
@@ -91,114 +93,52 @@ referenceMaker(const Options &opts)
                : makeReference;
 }
 
-void
-usage()
-{
-    std::cout <<
-        "usage: liquid-chaos smoke   [options]\n"
-        "       liquid-chaos explore [options]\n"
-        "       liquid-chaos run --schedule KEY [options]\n"
-        "  --width W        SIMD width (default 8)\n"
-        "  --workloads LIST comma-separated suite names"
-        " (default: all)\n"
-        "  --schedule KEY   fault schedule to replay, e.g."
-        " 'int@40+flush@80'\n"
-        "  --window N       explore: exhaustive single-event schedules\n"
-        "                   for each kind at retire 1..N (default 16)\n"
-        "  --trials N       explore: random multi-event schedules\n"
-        "                   (default 8)\n"
-        "  --seed S         explore: RNG seed (default 1)\n"
-        "  --reference TIER scalar ground-truth generator:\n"
-        "                   'functional' (default; fast interpreter)\n"
-        "                   or 'cycle' (the timing core)\n"
-        "  --json           machine-readable report on stdout\n";
-}
-
-std::vector<std::string>
-splitList(const std::string &list)
-{
-    std::vector<std::string> out;
-    std::size_t pos = 0;
-    while (pos <= list.size()) {
-        const std::size_t comma = list.find(',', pos);
-        out.push_back(list.substr(
-            pos, comma == std::string::npos ? std::string::npos
-                                            : comma - pos));
-        if (comma == std::string::npos)
-            break;
-        pos = comma + 1;
-    }
-    return out;
-}
-
-bool
+/** Parse argv into @p opts; returns a status to exit with, or nullopt. */
+std::optional<int>
 parseArgs(int argc, char **argv, Options &opts)
 {
-    if (argc < 2)
-        return false;
-    opts.command = argv[1];
-    if (opts.command != "smoke" && opts.command != "explore" &&
-        opts.command != "run")
-        return false;
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            return i + 1 < argc ? argv[++i] : nullptr;
-        };
-        if (arg == "--width") {
-            const char *v = next();
-            if (!v)
-                return false;
-            opts.width = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-        } else if (arg == "--workloads") {
-            const char *v = next();
-            if (!v)
-                return false;
-            opts.workloads = splitList(v);
-        } else if (arg == "--schedule") {
-            const char *v = next();
-            if (!v)
-                return false;
-            opts.schedule = v;
-        } else if (arg == "--window") {
-            const char *v = next();
-            if (!v)
-                return false;
-            opts.window = std::strtoull(v, nullptr, 10);
-        } else if (arg == "--trials") {
-            const char *v = next();
-            if (!v)
-                return false;
-            opts.trials = static_cast<unsigned>(
-                std::strtoul(v, nullptr, 10));
-        } else if (arg == "--seed") {
-            const char *v = next();
-            if (!v)
-                return false;
-            opts.seed = std::strtoull(v, nullptr, 10);
-        } else if (arg == "--reference") {
-            const char *v = next();
-            if (!v)
-                return false;
-            const std::string t = v;
-            if (t == "functional") {
-                opts.reference = fast::ExecTier::Functional;
-            } else if (t == "cycle") {
-                opts.reference = fast::ExecTier::Cycle;
-            } else {
-                std::cerr << "unknown reference tier '" << t
-                          << "' (expected 'functional' or 'cycle')\n";
-                return false;
-            }
-        } else if (arg == "--json") {
-            opts.json = true;
-        } else {
-            return false;
-        }
+    opts.command = argc > 1 ? argv[1] : "";
+    const cli::Command cmd{
+        "usage: liquid-chaos smoke   [options]\n"
+        "       liquid-chaos explore [options]\n"
+        "       liquid-chaos run --schedule KEY [options]\n",
+        {{"--width W", "SIMD width: 2/4/8/16 (default 8)",
+          cli::width(opts.width)},
+         {"--workloads LIST", "comma-separated suite names (default: all)",
+          cli::list(opts.workloads)},
+         {"--schedule KEY",
+          "fault schedule to replay, e.g. 'int@40+flush@80'",
+          cli::value(opts.schedule)},
+         {"--window N", "explore: exhaustive single-event schedules for "
+                        "each kind at retire 1..N (default 16)",
+          cli::value(opts.window)},
+         {"--trials N", "explore: random multi-event schedules (default 8)",
+          cli::value(opts.trials)},
+         {"--seed S", "explore: RNG seed (default 1)",
+          cli::value(opts.seed)},
+         {"--reference TIER",
+          "scalar ground-truth generator: 'functional' (default; fast "
+          "interpreter) or 'cycle' (the timing core)",
+          cli::choice(opts.reference,
+                      {{"functional", fast::ExecTier::Functional},
+                       {"cycle", fast::ExecTier::Cycle}})},
+         {"--json", "machine-readable report on stdout",
+          cli::flag(opts.json)}}};
+    // Without a command word, argv[1] is parsed too: --help, or a
+    // diagnostic, or the usage.
+    const bool known = opts.command == "smoke" ||
+                       opts.command == "explore" || opts.command == "run";
+    if (const auto rc = cli::parse(cmd, argc, argv, known ? 2 : 1))
+        return rc;
+    if (!known) {
+        cli::printHelp(std::cout, cmd);
+        return 2;
     }
-    if (opts.command == "run" && opts.schedule.empty())
-        return false;
-    return true;
+    if (opts.command == "run" && opts.schedule.empty()) {
+        std::cerr << "run requires --schedule KEY\n";
+        return 2;
+    }
+    return std::nullopt;
 }
 
 /** The selected workloads, built Scalarized at the oracle width. */
@@ -375,10 +315,8 @@ int
 main(int argc, char **argv)
 {
     Options opts;
-    if (!parseArgs(argc, argv, opts)) {
-        usage();
-        return 2;
-    }
+    if (const auto rc = parseArgs(argc, argv, opts))
+        return *rc;
 
     try {
         if (opts.command == "smoke")

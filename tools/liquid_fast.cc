@@ -27,13 +27,14 @@
  */
 
 #include <chrono>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/cli.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
@@ -72,137 +73,6 @@ struct Options
     std::string dumpDir;
     bool json = false;
 };
-
-void
-usage()
-{
-    std::cout <<
-        "usage: liquid-fast [options]\n"
-        "  --workloads LIST  comma-separated suite names (default: all)\n"
-        "  --modes LIST      scalar,native (default: both)\n"
-        "  --widths LIST     native SIMD widths (default: 8)\n"
-        "  --random N        also lockstep N random kernels\n"
-        "  --seed S          random-kernel RNG seed (default 1)\n"
-        "  --switch          force the portable switch dispatch loop\n"
-        "  --faults KEY      retire-keyed schedule for both tiers,\n"
-        "                    e.g. 'int@40+smc@100'\n"
-        "  --sabotage        self-test: seed each handler mutation and\n"
-        "                    require the lockstep compare to catch it\n"
-        "  --bench           measure retired-instructions/sec on both\n"
-        "                    tiers and write a results file\n"
-        "  --min-speedup X   bench gate: functional must be at least\n"
-        "                    X times the cycle tier (default 10)\n"
-        "  --out FILE        bench output path (default BENCH_fast.json)\n"
-        "  --dump-dir DIR    write one divergence dump file per failing\n"
-        "                    lockstep run\n"
-        "  --json            machine-readable report on stdout\n";
-}
-
-std::vector<std::string>
-splitList(const std::string &list)
-{
-    std::vector<std::string> out;
-    std::size_t pos = 0;
-    while (pos <= list.size()) {
-        const std::size_t comma = list.find(',', pos);
-        out.push_back(list.substr(
-            pos, comma == std::string::npos ? std::string::npos
-                                            : comma - pos));
-        if (comma == std::string::npos)
-            break;
-        pos = comma + 1;
-    }
-    return out;
-}
-
-bool
-parseArgs(int argc, char **argv, Options &opts)
-{
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            return i + 1 < argc ? argv[++i] : nullptr;
-        };
-        if (arg == "--workloads") {
-            const char *v = next();
-            if (!v)
-                return false;
-            opts.workloads = splitList(v);
-        } else if (arg == "--modes") {
-            const char *v = next();
-            if (!v)
-                return false;
-            opts.modes.clear();
-            for (const auto &m : splitList(v)) {
-                if (m == "scalar") {
-                    opts.modes.push_back(ExecMode::ScalarBaseline);
-                } else if (m == "native") {
-                    opts.modes.push_back(ExecMode::NativeSimd);
-                } else {
-                    std::cerr << "unknown mode '" << m
-                              << "' (lockstep runs scalar and native; "
-                                 "liquid is covered by liquid-chaos)\n";
-                    return false;
-                }
-            }
-        } else if (arg == "--widths") {
-            const char *v = next();
-            if (!v)
-                return false;
-            opts.widths.clear();
-            for (const auto &w : splitList(v))
-                opts.widths.push_back(
-                    static_cast<unsigned>(std::strtoul(
-                        w.c_str(), nullptr, 10)));
-        } else if (arg == "--random") {
-            const char *v = next();
-            if (!v)
-                return false;
-            opts.random = static_cast<unsigned>(
-                std::strtoul(v, nullptr, 10));
-        } else if (arg == "--seed") {
-            const char *v = next();
-            if (!v)
-                return false;
-            opts.seed = std::strtoull(v, nullptr, 10);
-        } else if (arg == "--switch") {
-            opts.switchDispatch = true;
-        } else if (arg == "--faults") {
-            const char *v = next();
-            if (!v)
-                return false;
-            opts.faults = v;
-        } else if (arg == "--sabotage") {
-            opts.sabotage = true;
-        } else if (arg == "--bench") {
-            opts.bench = true;
-        } else if (arg == "--min-speedup") {
-            const char *v = next();
-            if (!v)
-                return false;
-            opts.minSpeedup = std::strtod(v, nullptr);
-        } else if (arg == "--out") {
-            const char *v = next();
-            if (!v)
-                return false;
-            opts.out = v;
-        } else if (arg == "--dump-dir") {
-            const char *v = next();
-            if (!v)
-                return false;
-            opts.dumpDir = v;
-        } else if (arg == "--json") {
-            opts.json = true;
-        } else if (arg == "-h" || arg == "--help") {
-            usage();
-            std::exit(0);
-        } else {
-            std::cerr << "unknown option '" << arg << "'\n";
-            return false;
-        }
-    }
-    return true;
-}
 
 const char *
 lockstepModeName(ExecMode mode)
@@ -573,10 +443,43 @@ int
 main(int argc, char **argv)
 {
     Options opts;
-    if (!parseArgs(argc, argv, opts)) {
-        usage();
-        return 2;
-    }
+    const cli::Command cmd{
+        "usage: liquid-fast [options]\n",
+        {{"--workloads LIST", "comma-separated suite names (default: all)",
+          cli::list(opts.workloads)},
+         {"--modes LIST",
+          "scalar,native (default: both; liquid is covered by liquid-chaos)",
+          cli::list(opts.modes, {{"scalar", ExecMode::ScalarBaseline},
+                                 {"native", ExecMode::NativeSimd}})},
+         {"--widths LIST", "native SIMD widths (default: 8)",
+          cli::widths(opts.widths)},
+         {"--random N", "also lockstep N random kernels",
+          cli::value(opts.random)},
+         {"--seed S", "random-kernel RNG seed (default 1)",
+          cli::value(opts.seed)},
+         {"--switch", "force the portable switch dispatch loop",
+          cli::flag(opts.switchDispatch)},
+         {"--faults KEY",
+          "retire-keyed schedule for both tiers, e.g. 'int@40+smc@100'",
+          cli::value(opts.faults)},
+         {"--sabotage", "self-test: seed each handler mutation and require "
+                        "the lockstep compare to catch it",
+          cli::flag(opts.sabotage)},
+         {"--bench", "measure retired-instructions/sec on both tiers and "
+                     "write a results file",
+          cli::flag(opts.bench)},
+         {"--min-speedup X", "bench gate: functional must be at least X "
+                             "times the cycle tier (default 10)",
+          cli::value(opts.minSpeedup)},
+         {"--out FILE", "bench output path (default BENCH_fast.json)",
+          cli::value(opts.out)},
+         {"--dump-dir DIR",
+          "write one divergence dump file per failing lockstep run",
+          cli::value(opts.dumpDir)},
+         {"--json", "machine-readable report on stdout",
+          cli::flag(opts.json)}}};
+    if (const auto rc = cli::parse(cmd, argc, argv))
+        return *rc;
 
     try {
         if (opts.bench)

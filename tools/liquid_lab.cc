@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "chaos/fault_schedule.hh"
+#include "common/cli.hh"
 #include "fast/tier.hh"
 #include "lab/diff.hh"
 #include "lab/experiments.hh"
@@ -35,46 +36,6 @@ using namespace liquid::lab;
 
 namespace
 {
-
-void
-usage()
-{
-    std::cout <<
-        "usage: liquid-lab <command> [options]\n"
-        "\n"
-        "commands:\n"
-        "  list                       show campaigns, jobs, workloads\n"
-        "  run                        run experiments, write BENCH_*.json\n"
-        "  render <file>...           render paper tables from results\n"
-        "  diff <results> <baseline>  regression gate (nonzero on fail)\n"
-        "\n"
-        "run options:\n"
-        "  --experiment NAME   campaign to run (repeatable)\n"
-        "  --all               every campaign (default)\n"
-        "  --jobs N            worker threads (default: all cores)\n"
-        "  --out DIR           output directory (default: .)\n"
-        "  --cache DIR         result cache (default: OUT/.liquid-lab-cache)\n"
-        "  --no-cache          always simulate\n"
-        "  --smoke             reduced trip counts (the CI matrix)\n"
-        "  --filter REGEX      only jobs whose key matches\n"
-        "  --render            also print the paper tables\n"
-        "  --progress          one line per finished job\n"
-        "  --predict           tag liquid results with liquid-scan's\n"
-        "                      static speedup prediction\n"
-        "  --prove             with --predict: back each prediction\n"
-        "                      with the translation-validation prover\n"
-        "                      and tag its verdict\n"
-        "  --tier TIER         run every job on TIER (cycle|functional);\n"
-        "                      functional drops jobs that need the cycle\n"
-        "                      tier (liquid mode, warm-start, periodic\n"
-        "                      faults) with a note, and the results\n"
-        "                      carry no cycle counts (absent, not zero)\n"
-        "\n"
-        "diff options:\n"
-        "  --tol PCT           cycle tolerance in percent (default: 2)\n"
-        "  --counter NAME:PCT  also gate counter NAME (repeatable),\n"
-        "                      e.g. --counter fast.insts:0\n";
-}
 
 int
 cmdList(bool smoke)
@@ -97,6 +58,7 @@ cmdList(bool smoke)
 struct RunOptions
 {
     std::vector<std::string> experiments;
+    bool all = false;  ///< --all: ignore --experiment
     unsigned jobs = 0;
     std::string out = ".";
     std::string cacheDir;
@@ -285,103 +247,142 @@ cmdDiff(const std::string &currentFile, const std::string &baselineFile,
     return 0;
 }
 
+/** The `run` command's option table, filling @p opt. */
+cli::Command
+runCommand(RunOptions &opt)
+{
+    return {
+        "usage: liquid-lab run [options]\n",
+        {{"--experiment NAME", "campaign to run (repeatable)",
+          cli::list(opt.experiments)},
+         {"--all", "every campaign (default)", cli::flag(opt.all)},
+         {"--jobs N", "worker threads (default: all cores)",
+          cli::value(opt.jobs)},
+         {"--out DIR", "output directory (default: .)", cli::value(opt.out)},
+         {"--cache DIR", "result cache (default: OUT/.liquid-lab-cache)",
+          cli::value(opt.cacheDir)},
+         {"--no-cache", "always simulate", cli::flag(opt.noCache)},
+         {"--smoke", "reduced trip counts (the CI matrix)",
+          cli::flag(opt.smoke)},
+         {"--filter REGEX", "only jobs whose key matches",
+          cli::value(opt.filter)},
+         {"--render", "also print the paper tables", cli::flag(opt.render)},
+         {"--progress", "one line per finished job",
+          cli::flag(opt.progress)},
+         {"--predict", "tag liquid results with liquid-scan's static "
+                       "speedup prediction",
+          cli::flag(opt.predict)},
+         {"--prove", "with --predict: back each prediction with the "
+                     "translation-validation prover and tag its verdict",
+          cli::flag(opt.prove)},
+         {"--tier TIER",
+          "run every job on TIER (cycle|functional); functional drops jobs "
+          "that need the cycle tier (liquid mode, warm-start, periodic "
+          "faults) with a note, and the results carry no cycle counts "
+          "(absent, not zero)",
+          cli::choice(opt.tier,
+                      {{"cycle", fast::ExecTier::Cycle},
+                       {"functional", fast::ExecTier::Functional}})}}};
+}
+
+/** Arguments of the `diff` command. */
+struct DiffArgs
+{
+    std::vector<std::string> files;  ///< <results> <baseline>
+    double tolPct = 2.0;
+    std::map<std::string, double> counterTols;
+};
+
+cli::Command
+diffCommand(DiffArgs &opt)
+{
+    // --counter NAME:PCT adds one entry to counterTols.
+    const auto counter = [&opt](const std::string &spec) {
+        const auto colon = spec.rfind(':');
+        double pct = 0;
+        if (colon == std::string::npos || colon == 0 ||
+            !cli::convert(spec.substr(colon + 1), pct))
+            return false;
+        opt.counterTols[spec.substr(0, colon)] = pct / 100.0;
+        return true;
+    };
+    return {"usage: liquid-lab diff <results> <baseline> [options]\n",
+            {{"--tol PCT", "cycle tolerance in percent (default: 2)",
+              cli::value(opt.tolPct)},
+             {"--counter NAME:PCT", "also gate counter NAME (repeatable), "
+                                    "e.g. --counter fast.insts:0",
+              {"NAME:PCT with a finite unsigned PCT", counter}}},
+            &opt.files, 2};
+}
+
+void
+usage()
+{
+    std::cout << "usage: liquid-lab <command> [options]\n\ncommands:\n"
+                 "  list [--smoke]             campaigns, jobs, workloads\n"
+                 "  run                        run experiments, write "
+                 "BENCH_*.json\n"
+                 "  render <file>...           render paper tables\n"
+                 "  diff <results> <baseline>  regression gate (nonzero "
+                 "on fail)\n\nrun options:\n";
+    RunOptions run;
+    cli::printOptions(std::cout, runCommand(run).options);
+    std::cout << "\ndiff options:\n";
+    DiffArgs diff;
+    cli::printOptions(std::cout, diffCommand(diff).options);
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    std::vector<std::string> args(argv + 1, argv + argc);
-    if (args.empty() || args[0] == "-h" || args[0] == "--help") {
+    const std::string cmd = argc > 1 ? argv[1] : "";
+    if (cmd.empty() || cmd == "-h" || cmd == "--help") {
         usage();
-        return args.empty() ? 2 : 0;
+        return cmd.empty() ? 2 : 0;
     }
-    const std::string cmd = args[0];
 
     try {
-        auto value = [&](std::size_t &i) -> std::string {
-            if (i + 1 >= args.size())
-                fatal("missing value for ", args[i]);
-            return args[++i];
-        };
-
         if (cmd == "list") {
             bool smoke = false;
-            for (std::size_t i = 1; i < args.size(); ++i) {
-                if (args[i] == "--smoke")
-                    smoke = true;
-                else
-                    fatal("unknown option '", args[i], "'");
-            }
+            const cli::Command list{
+                "usage: liquid-lab list [options]\n",
+                {{"--smoke", "the CI-sized matrix", cli::flag(smoke)}}};
+            if (const auto rc = cli::parse(list, argc, argv, 2))
+                return *rc;
             return cmdList(smoke);
         }
 
         if (cmd == "run") {
             RunOptions opt;
-            for (std::size_t i = 1; i < args.size(); ++i) {
-                const std::string &a = args[i];
-                if (a == "--experiment")
-                    opt.experiments.push_back(value(i));
-                else if (a == "--all")
-                    opt.experiments.clear();
-                else if (a == "--jobs")
-                    opt.jobs =
-                        static_cast<unsigned>(std::stoul(value(i)));
-                else if (a == "--out")
-                    opt.out = value(i);
-                else if (a == "--cache")
-                    opt.cacheDir = value(i);
-                else if (a == "--no-cache")
-                    opt.noCache = true;
-                else if (a == "--smoke")
-                    opt.smoke = true;
-                else if (a == "--filter")
-                    opt.filter = value(i);
-                else if (a == "--render")
-                    opt.render = true;
-                else if (a == "--progress")
-                    opt.progress = true;
-                else if (a == "--predict")
-                    opt.predict = true;
-                else if (a == "--prove")
-                    opt.prove = true;
-                else if (a == "--tier")
-                    opt.tier = fast::tierFromName(value(i));
-                else
-                    fatal("unknown option '", a, "'");
-            }
+            if (const auto rc = cli::parse(runCommand(opt), argc, argv, 2))
+                return *rc;
+            if (opt.all)
+                opt.experiments.clear();
             return cmdRun(opt);
         }
 
         if (cmd == "render") {
-            std::vector<std::string> files(args.begin() + 1,
-                                           args.end());
+            std::vector<std::string> files;
+            const cli::Command render{
+                "usage: liquid-lab render <file>...\n", {}, &files};
+            if (const auto rc = cli::parse(render, argc, argv, 2))
+                return *rc;
             if (files.empty())
                 fatal("render: no input files");
             return cmdRender(files);
         }
 
         if (cmd == "diff") {
-            std::vector<std::string> files;
-            double tolPct = 2.0;
-            std::map<std::string, double> counterTols;
-            for (std::size_t i = 1; i < args.size(); ++i) {
-                if (args[i] == "--tol") {
-                    tolPct = std::stod(value(i));
-                } else if (args[i] == "--counter") {
-                    const std::string spec = value(i);
-                    const auto colon = spec.rfind(':');
-                    if (colon == std::string::npos || colon == 0)
-                        fatal("diff: --counter expects NAME:PCT, got '",
-                              spec, "'");
-                    counterTols[spec.substr(0, colon)] =
-                        std::stod(spec.substr(colon + 1)) / 100.0;
-                } else {
-                    files.push_back(args[i]);
-                }
-            }
-            if (files.size() != 2)
+            DiffArgs opt;
+            if (const auto rc =
+                    cli::parse(diffCommand(opt), argc, argv, 2))
+                return *rc;
+            if (opt.files.size() != 2)
                 fatal("diff: expected <results> <baseline>");
-            return cmdDiff(files[0], files[1], tolPct, counterTols);
+            return cmdDiff(opt.files[0], opt.files[1], opt.tolPct,
+                           opt.counterTols);
         }
 
         std::cerr << "unknown command '" << cmd << "'\n";

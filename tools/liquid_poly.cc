@@ -17,24 +17,20 @@
  *   liquid-poly --sabotage        # seeded evaluator bugs must diverge
  *   liquid-poly --json             # machine-readable report
  *
- * --random honours LIQUID_POLY_TRIALS (count when N is omitted) and
- * LIQUID_POLY_SEED (generator seed).
- *
  * Exit status: 0 on success, 1 when a gate fails (any differential
  * mismatch, an uncaught sabotage mutation, no unbounded-N verdict in
  * --suite, or --werror with a Warn summary), 2 on usage/assembly
  * problems.
  */
 
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
-#include <sstream>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "asm/assembler.hh"
+#include "common/cli.hh"
 #include "common/json.hh"
 #include "common/random.hh"
 #include "verifier/poly.hh"
@@ -54,7 +50,7 @@ constexpr const char *polyToolVersion = "1.0";
 
 struct Options
 {
-    std::string file;
+    std::vector<std::string> files;  ///< the input program, if any
     bool suite = false;
     bool sabotage = false;
     bool json = false;
@@ -63,82 +59,39 @@ struct Options
     std::uint64_t seed = 0x9E3779B97F4A7C15ull;
 };
 
-void
-usage()
-{
-    std::cout <<
-        "usage: liquid-poly [options] program.s\n"
-        "       liquid-poly [options] --suite\n"
-        "       liquid-poly [options] --random [N]\n"
-        "       liquid-poly [options] --sabotage\n"
-        "  --suite          analyze the workload suite and the\n"
-        "                   dependence mini-kernels; every region must\n"
-        "                   pass the symbolic-vs-concrete differential\n"
-        "                   and elementwise regions must verify with an\n"
-        "                   unbounded-N verdict\n"
-        "  --random [N]     run N random kernels through the\n"
-        "                   differential gate (default "
-        "LIQUID_POLY_TRIALS or 25)\n"
-        "  --sabotage       seed each evaluator bug in turn; every\n"
-        "                   mutation must diverge from the concrete\n"
-        "                   verifier somewhere\n"
-        "  --seed S         random-kernel seed (or LIQUID_POLY_SEED)\n"
-        "  --werror         Warn-for-all-N summaries fail the run\n"
-        "  --json           machine-readable report on stdout\n";
-}
-
-bool
+/** Parse argv into @p opt; returns a status to exit with, or nullopt. */
+std::optional<int>
 parseArgs(int argc, char **argv, Options &opt)
 {
-    if (const char *env = std::getenv("LIQUID_POLY_SEED"))
-        opt.seed = std::strtoull(env, nullptr, 0);
-    bool randomMode = false;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--suite") {
-            opt.suite = true;
-        } else if (arg == "--sabotage") {
-            opt.sabotage = true;
-        } else if (arg == "--random") {
-            randomMode = true;
-            if (i + 1 < argc && argv[i + 1][0] != '-')
-                opt.random = static_cast<unsigned>(
-                    std::strtoul(argv[++i], nullptr, 10));
-        } else if (arg == "--seed") {
-            if (i + 1 >= argc) {
-                std::cerr << "--seed needs a value\n";
-                return false;
-            }
-            opt.seed = std::strtoull(argv[++i], nullptr, 0);
-        } else if (arg == "--werror") {
-            opt.werror = true;
-        } else if (arg == "--json") {
-            opt.json = true;
-        } else if (arg == "-h" || arg == "--help") {
-            usage();
-            std::exit(0);
-        } else if (!arg.empty() && arg[0] == '-') {
-            std::cerr << "unknown option '" << arg << "'\n";
-            return false;
-        } else if (opt.file.empty()) {
-            opt.file = arg;
-        } else {
-            std::cerr << "multiple input files\n";
-            return false;
-        }
-    }
-    if (randomMode && opt.random == 0) {
-        opt.random = 25;
-        if (const char *env = std::getenv("LIQUID_POLY_TRIALS"))
-            opt.random = static_cast<unsigned>(
-                std::strtoul(env, nullptr, 10));
-    }
-    if (opt.file.empty() && !opt.suite && !opt.sabotage &&
+    const cli::Command cmd{
+        "usage: liquid-poly [options] program.s\n"
+        "       liquid-poly [options] --suite\n"
+        "       liquid-poly [options] --random N\n"
+        "       liquid-poly [options] --sabotage\n",
+        {{"--suite", "analyze the workload suite and the dependence "
+                     "mini-kernels; every region must pass the "
+                     "symbolic-vs-concrete differential and elementwise "
+                     "regions must verify with an unbounded-N verdict",
+          cli::flag(opt.suite)},
+         {"--random N", "run N random kernels through the differential gate",
+          cli::value(opt.random)},
+         {"--sabotage", "seed each evaluator bug in turn; every mutation "
+                        "must diverge from the concrete verifier somewhere",
+          cli::flag(opt.sabotage)},
+         {"--seed S", "random-kernel seed", cli::value(opt.seed)},
+         {"--werror", "Warn-for-all-N summaries fail the run",
+          cli::flag(opt.werror)},
+         {"--json", "machine-readable report on stdout",
+          cli::flag(opt.json)}},
+        &opt.files, 1};
+    if (const auto rc = cli::parse(cmd, argc, argv))
+        return rc;
+    if (opt.files.empty() && !opt.suite && !opt.sabotage &&
         opt.random == 0) {
-        usage();
-        return false;
+        cli::printHelp(std::cout, cmd);
+        return 2;
     }
-    return true;
+    return std::nullopt;
 }
 
 /**
@@ -418,8 +371,8 @@ int
 main(int argc, char **argv)
 {
     Options opt;
-    if (!parseArgs(argc, argv, opt))
-        return 2;
+    if (const auto rc = parseArgs(argc, argv, opt))
+        return *rc;
 
     try {
         if (opt.sabotage) {
@@ -472,15 +425,11 @@ main(int argc, char **argv)
         if (opt.suite || opt.random > 0) {
             outcomes = runPrograms(opt, 0, opt.suite, opt.suite);
         } else {
-            std::ifstream in(opt.file);
-            if (!in) {
-                std::cerr << "cannot open '" << opt.file << "'\n";
+            const auto source = cli::readSource(opt.files[0]);
+            if (!source)
                 return 2;
-            }
-            std::ostringstream source;
-            source << in.rdbuf();
             outcomes.push_back(
-                analyzeProgram(assemble(source.str()), opt.file));
+                analyzeProgram(assemble(*source), opt.files[0]));
         }
 
         bool gateFailed = false;

@@ -24,9 +24,8 @@
  * 2 on usage/assembly problems.
  */
 
-#include <fstream>
 #include <iostream>
-#include <sstream>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -49,7 +48,7 @@ constexpr const char *proofToolVersion = "1.0";
 
 struct Options
 {
-    std::string file;
+    std::vector<std::string> files;  ///< the input program, if any
     bool suite = false;
     bool sabotage = false;
     bool json = false;
@@ -57,66 +56,39 @@ struct Options
     ProofOptions proof;
 };
 
-void
-usage()
-{
-    std::cout <<
-        "usage: liquid-proof [options] program.s\n"
-        "       liquid-proof [options] --suite\n"
-        "       liquid-proof [options] --sabotage\n"
-        "  --widths A,B,..  widths to prove, from 2/4/8/16 (all)\n"
-        "  --symbolic-n     attempt one width-generic proof before the\n"
-        "                   per-width proofs\n"
-        "  --no-replay      do not replay counterexamples through the\n"
-        "                   chaos oracle\n"
-        "  --werror         treat unknown verdicts as failures\n"
-        "  --json           machine-readable report on stdout\n"
-        "  --suite          prove every workload-suite kernel\n"
-        "  --sabotage       adversarial self-test: every sabotage mode\n"
-        "                   must be refuted or rejected\n";
-}
-
-bool
+/** Parse argv into @p opt; returns a status to exit with, or nullopt. */
+std::optional<int>
 parseArgs(int argc, char **argv, Options &opt)
 {
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--widths") {
-            if (!parseWidths(i + 1 < argc ? argv[++i] : nullptr,
-                             opt.proof.widths))
-                return false;
-        } else if (arg == "--symbolic-n") {
-            opt.proof.symbolicN = true;
-        } else if (arg == "--no-replay") {
-            opt.proof.replay = false;
-        } else if (arg == "--werror") {
-            opt.werror = true;
-        } else if (arg == "--json") {
-            opt.json = true;
-        } else if (arg == "--suite") {
-            opt.suite = true;
-        } else if (arg == "--sabotage") {
-            opt.sabotage = true;
-        } else if (arg == "-h" || arg == "--help") {
-            usage();
-            std::exit(0);
-        } else if (!arg.empty() && arg[0] == '-') {
-            std::cerr << "unknown option '" << arg << "'\n";
-            return false;
-        } else if (opt.file.empty()) {
-            opt.file = arg;
-        } else {
-            std::cerr << "multiple input files\n";
-            return false;
-        }
+    const cli::Command cmd{
+        "usage: liquid-proof [options] program.s\n"
+        "       liquid-proof [options] --suite\n"
+        "       liquid-proof [options] --sabotage\n",
+        {{"--widths A,B,..", "widths to prove, from 2/4/8/16 (all)",
+          cli::widths(opt.proof.widths)},
+         {"--symbolic-n", "attempt one width-generic proof before the "
+                          "per-width proofs",
+          cli::flag(opt.proof.symbolicN)},
+         {"--no-replay", "do not replay counterexamples through the chaos "
+                         "oracle",
+          cli::flag(opt.proof.replay, false)},
+         {"--werror", "treat unknown verdicts as failures",
+          cli::flag(opt.werror)},
+         {"--json", "machine-readable report on stdout",
+          cli::flag(opt.json)},
+         {"--suite", "prove every workload-suite kernel",
+          cli::flag(opt.suite)},
+         {"--sabotage", "adversarial self-test: every sabotage mode must "
+                        "be refuted or rejected",
+          cli::flag(opt.sabotage)}},
+        &opt.files, 1};
+    if (const auto rc = cli::parse(cmd, argc, argv))
+        return rc;
+    if (opt.files.size() + opt.suite + opt.sabotage != 1) {
+        cli::printHelp(std::cout, cmd);
+        return 2;
     }
-    const int modes = (opt.file.empty() ? 0 : 1) + (opt.suite ? 1 : 0) +
-                      (opt.sabotage ? 1 : 0);
-    if (modes != 1) {
-        usage();
-        return false;
-    }
-    return true;
+    return std::nullopt;
 }
 
 json::Value
@@ -281,21 +253,17 @@ runProve(const Options &opt)
                 regions.emplace_back(wl->name(), std::move(rp));
         }
     } else {
-        std::ifstream in(opt.file);
-        if (!in) {
-            std::cerr << "cannot open '" << opt.file << "'\n";
+        const auto source = cli::readSource(opt.files[0]);
+        if (!source)
             return 2;
-        }
-        std::ostringstream source;
-        source << in.rdbuf();
-        const Program prog = assemble(source.str());
+        const Program prog = assemble(*source);
         ProgramProof pp = proveProgram(prog, opt.proof);
         if (pp.regions.empty() && !opt.json) {
             std::cout << "no hinted regions found\n";
             return 0;
         }
         for (RegionProof &rp : pp.regions)
-            regions.emplace_back(opt.file, std::move(rp));
+            regions.emplace_back(opt.files[0], std::move(rp));
     }
 
     Tally tally;
@@ -396,8 +364,8 @@ int
 main(int argc, char **argv)
 {
     Options opt;
-    if (!parseArgs(argc, argv, opt))
-        return 2;
+    if (const auto rc = parseArgs(argc, argv, opt))
+        return *rc;
     try {
         return opt.sabotage ? runSabotage(opt) : runProve(opt);
     } catch (const FatalError &e) {

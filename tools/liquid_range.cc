@@ -29,9 +29,8 @@
  * facts-on Warn), 2 on usage/assembly problems.
  */
 
-#include <fstream>
 #include <iostream>
-#include <sstream>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -57,7 +56,7 @@ constexpr const char *rangeToolVersion = "1.0";
 
 struct Options
 {
-    std::string file;
+    std::vector<std::string> files;  ///< the input program, if any
     std::vector<unsigned> widths{2, 4, 8, 16};
     bool suite = false;
     bool json = false;
@@ -67,69 +66,43 @@ struct Options
     bool prove = false;
 };
 
-void
-usage()
-{
-    std::cout <<
-        "usage: liquid-range [options] program.s\n"
-        "       liquid-range [options] --suite\n"
-        "       liquid-range [options] --sabotage\n"
-        "  --widths N,N,..  accelerator widths to verify (2,4,8,16)\n"
-        "  --suite          analyze the stress set and the workload\n"
-        "                   suite, enforcing the upgrade/discharge/\n"
-        "                   oracle gates\n"
-        "  --sabotage       seed each unsound-transfer mutation and\n"
-        "                   require the differential oracle to catch it\n"
-        "  --prove          also run the translation-validation prover\n"
-        "                   (range facts shrink its enumeration)\n"
-        "  --no-oracle      skip the dynamic differential oracle\n"
-        "  --werror         facts-on Warn verdicts fail the run\n"
-        "  --json           machine-readable report on stdout\n";
-}
-
-bool
+/** Parse argv into @p opt; returns a status to exit with, or nullopt. */
+std::optional<int>
 parseArgs(int argc, char **argv, Options &opt)
 {
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--widths") {
-            if (!parseWidths(i + 1 < argc ? argv[++i] : nullptr,
-                             opt.widths))
-                return false;
-        } else if (arg == "--suite") {
-            opt.suite = true;
-        } else if (arg == "--sabotage") {
-            opt.sabotage = true;
-        } else if (arg == "--prove") {
-            opt.prove = true;
-        } else if (arg == "--no-oracle") {
-            opt.oracle = false;
-        } else if (arg == "--werror") {
-            opt.werror = true;
-        } else if (arg == "--json") {
-            opt.json = true;
-        } else if (arg == "-h" || arg == "--help") {
-            usage();
-            std::exit(0);
-        } else if (!arg.empty() && arg[0] == '-') {
-            std::cerr << "unknown option '" << arg << "'\n";
-            return false;
-        } else if (opt.file.empty()) {
-            opt.file = arg;
-        } else {
-            std::cerr << "multiple input files\n";
-            return false;
-        }
+    const cli::Command cmd{
+        "usage: liquid-range [options] program.s\n"
+        "       liquid-range [options] --suite\n"
+        "       liquid-range [options] --sabotage\n",
+        {{"--widths N,N,..", "accelerator widths to verify (2,4,8,16)",
+          cli::widths(opt.widths)},
+         {"--suite", "analyze the stress set and the workload suite, "
+                     "enforcing the upgrade/discharge/oracle gates",
+          cli::flag(opt.suite)},
+         {"--sabotage", "seed each unsound-transfer mutation and require "
+                        "the differential oracle to catch it",
+          cli::flag(opt.sabotage)},
+         {"--prove", "also run the translation-validation prover (range "
+                     "facts shrink its enumeration)",
+          cli::flag(opt.prove)},
+         {"--no-oracle", "skip the dynamic differential oracle",
+          cli::flag(opt.oracle, false)},
+         {"--werror", "facts-on Warn verdicts fail the run",
+          cli::flag(opt.werror)},
+         {"--json", "machine-readable report on stdout",
+          cli::flag(opt.json)}},
+        &opt.files, 1};
+    if (const auto rc = cli::parse(cmd, argc, argv))
+        return rc;
+    if (opt.files.empty() && !opt.suite && !opt.sabotage) {
+        cli::printHelp(std::cout, cmd);
+        return 2;
     }
-    if (opt.file.empty() && !opt.suite && !opt.sabotage) {
-        usage();
-        return false;
-    }
-    if (!opt.file.empty() && (opt.suite || opt.sabotage)) {
+    if (!opt.files.empty() && (opt.suite || opt.sabotage)) {
         std::cerr << "--suite/--sabotage do not take an input file\n";
-        return false;
+        return 2;
     }
-    return true;
+    return std::nullopt;
 }
 
 /** One region verified at one width, facts-off vs facts-on. */
@@ -343,8 +316,8 @@ int
 main(int argc, char **argv)
 {
     Options opt;
-    if (!parseArgs(argc, argv, opt))
-        return 2;
+    if (const auto rc = parseArgs(argc, argv, opt))
+        return *rc;
 
     try {
         if (opt.sabotage) {
@@ -421,15 +394,11 @@ main(int argc, char **argv)
                     analyzeProgram(build.prog, wl->name(), opt));
             }
         } else {
-            std::ifstream in(opt.file);
-            if (!in) {
-                std::cerr << "cannot open '" << opt.file << "'\n";
+            const auto source = cli::readSource(opt.files[0]);
+            if (!source)
                 return 2;
-            }
-            std::ostringstream source;
-            source << in.rdbuf();
-            const Program prog = assemble(source.str());
-            outcomes.push_back(analyzeProgram(prog, opt.file, opt));
+            const Program prog = assemble(*source);
+            outcomes.push_back(analyzeProgram(prog, opt.files[0], opt));
         }
 
         unsigned violations = 0;

@@ -27,14 +27,14 @@
  *                                          # cycle core
  */
 
-#include <fstream>
 #include <iostream>
+#include <optional>
 #include <regex>
 #include <set>
-#include <sstream>
 #include <string>
 
 #include "asm/assembler.hh"
+#include "common/cli.hh"
 #include "fast/fast.hh"
 #include "fast/tier.hh"
 #include "fast/warmup.hh"
@@ -48,7 +48,7 @@ namespace
 
 struct Options
 {
-    std::string file;
+    std::vector<std::string> files;  ///< the input program, if any
     ExecMode mode = ExecMode::Liquid;
     unsigned width = 8;
     bool trace = false;
@@ -63,132 +63,55 @@ struct Options
     fast::ExecTier tier = fast::ExecTier::Cycle;
     /** Functional fast-forward checkpoint (retired insts); 0 = off. */
     std::uint64_t warmup = 0;
-    /** --mode was given explicitly (functional defaults to scalar). */
-    bool modeExplicit = false;
 };
 
-void
-usage()
-{
-    std::cout <<
-        "usage: liquid-run [options] program.s\n"
-        "  --mode scalar|liquid|native   execution mode (liquid)\n"
-        "  -w, --width N                 SIMD lanes: 2/4/8/16 (8)\n"
-        "  --latency N                   translation cycles/inst (1)\n"
-        "  --pretranslate                offline binary translation\n"
-        "  --trace                       per-instruction trace\n"
-        "  --stats                       dump all statistic counters\n"
-        "  --ucode                       print translated microcode\n"
-        "  --listing                     print the assembled program\n"
-        "  --sweep                       run at widths 2/4/8/16\n"
-        "  --list                        print suite workload names\n"
-        "  --filter REGEX                run suite workloads matching\n"
-        "                                REGEX instead of a .s file\n"
-        "  --tier cycle|functional       execution tier (cycle); the\n"
-        "                                functional tier has no cycle\n"
-        "                                clock: cycle stats are absent\n"
-        "                                and cycle-only flags error\n"
-        "  --warmup N                    fast-forward the first N\n"
-        "                                retires on the functional\n"
-        "                                tier, then hand architectural\n"
-        "                                state to the cycle core\n";
-}
-
-bool
+/** Parse argv into @p opt; returns a status to exit with, or nullopt. */
+std::optional<int>
 parseArgs(int argc, char **argv, Options &opt)
 {
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::cerr << "missing value for " << arg << '\n';
-                return nullptr;
-            }
-            return argv[++i];
-        };
-        if (arg == "--mode") {
-            const char *v = next();
-            if (!v)
-                return false;
-            const std::string m = v;
-            if (m == "scalar")
-                opt.mode = ExecMode::ScalarBaseline;
-            else if (m == "liquid")
-                opt.mode = ExecMode::Liquid;
-            else if (m == "native")
-                opt.mode = ExecMode::NativeSimd;
-            else {
-                std::cerr << "unknown mode '" << m << "'\n";
-                return false;
-            }
-            opt.modeExplicit = true;
-        } else if (arg == "-w" || arg == "--width") {
-            const char *v = next();
-            if (!v)
-                return false;
-            opt.width = static_cast<unsigned>(std::stoul(v));
-        } else if (arg == "--latency") {
-            const char *v = next();
-            if (!v)
-                return false;
-            opt.latency = std::stoull(v);
-        } else if (arg == "--trace") {
-            opt.trace = true;
-        } else if (arg == "--stats") {
-            opt.stats = true;
-        } else if (arg == "--ucode") {
-            opt.ucode = true;
-        } else if (arg == "--listing") {
-            opt.listing = true;
-        } else if (arg == "--pretranslate") {
-            opt.pretranslate = true;
-        } else if (arg == "--sweep") {
-            opt.sweep = true;
-        } else if (arg == "--list") {
-            opt.list = true;
-        } else if (arg == "--tier") {
-            const char *v = next();
-            if (!v)
-                return false;
-            const std::string t = v;
-            if (t == "cycle") {
-                opt.tier = fast::ExecTier::Cycle;
-            } else if (t == "functional") {
-                opt.tier = fast::ExecTier::Functional;
-            } else {
-                std::cerr << "unknown tier '" << t
-                          << "' (expected 'cycle' or 'functional')\n";
-                return false;
-            }
-        } else if (arg == "--warmup") {
-            const char *v = next();
-            if (!v)
-                return false;
-            opt.warmup = std::stoull(v);
-        } else if (arg == "--filter") {
-            const char *v = next();
-            if (!v)
-                return false;
-            opt.filter = v;
-        } else if (arg.rfind("--filter=", 0) == 0) {
-            opt.filter = arg.substr(9);
-        } else if (arg == "-h" || arg == "--help") {
-            usage();
-            std::exit(0);
-        } else if (!arg.empty() && arg[0] == '-') {
-            std::cerr << "unknown option '" << arg << "'\n";
-            return false;
-        } else if (opt.file.empty()) {
-            opt.file = arg;
-        } else {
-            std::cerr << "multiple input files\n";
-            return false;
-        }
+    /** --mode as given; unset, it defaults per tier. */
+    std::optional<ExecMode> mode;
+    const cli::Command cmd{
+        "usage: liquid-run [options] program.s\n",
+        {{"--mode scalar|liquid|native", "execution mode (liquid)",
+          cli::choice(mode, {{"scalar", ExecMode::ScalarBaseline},
+                             {"liquid", ExecMode::Liquid},
+                             {"native", ExecMode::NativeSimd}})},
+         {"-w, --width N", "SIMD lanes: 2/4/8/16 (8)", cli::width(opt.width)},
+         {"--latency N", "translation cycles/inst (1)",
+          cli::value(opt.latency)},
+         {"--pretranslate", "offline binary translation",
+          cli::flag(opt.pretranslate)},
+         {"--trace", "per-instruction trace", cli::flag(opt.trace)},
+         {"--stats", "dump all statistic counters", cli::flag(opt.stats)},
+         {"--ucode", "print translated microcode", cli::flag(opt.ucode)},
+         {"--listing", "print the assembled program", cli::flag(opt.listing)},
+         {"--sweep", "run at widths 2/4/8/16", cli::flag(opt.sweep)},
+         {"--list", "print suite workload names", cli::flag(opt.list)},
+         {"--filter REGEX",
+          "run suite workloads matching REGEX instead of a .s file",
+          cli::value(opt.filter)},
+         {"--tier cycle|functional",
+          "execution tier (cycle); the functional tier has no cycle "
+          "clock: cycle stats are absent and cycle-only flags error",
+          cli::choice(opt.tier, {{"cycle", fast::ExecTier::Cycle},
+                                 {"functional", fast::ExecTier::Functional}})},
+         {"--warmup N",
+          "fast-forward the first N retires on the functional tier, then "
+          "hand architectural state to the cycle core",
+          cli::value(opt.warmup)}},
+        &opt.files, 1};
+    if (const auto rc = cli::parse(cmd, argc, argv))
+        return rc;
+    if (opt.files.empty() && !opt.list && opt.filter.empty()) {
+        cli::printHelp(std::cout, cmd);
+        return 2;
     }
-    if (opt.file.empty() && !opt.list && opt.filter.empty()) {
-        usage();
-        return false;
-    }
+    // Liquid is only the default for the cycle tier; the natural
+    // functional-tier default is the scalar ISA.
+    opt.mode = mode.value_or(opt.tier == fast::ExecTier::Functional
+                                 ? ExecMode::ScalarBaseline
+                                 : ExecMode::Liquid);
     if (opt.tier == fast::ExecTier::Functional) {
         // Anything that needs the cycle clock (or the translator) is a
         // hard error under the functional tier — the stats it would
@@ -212,23 +135,17 @@ parseArgs(int argc, char **argv, Options &opt)
                          "results it would report are absent (not "
                          "zero); drop "
                       << cycleOnly << " or use --tier cycle\n";
-            return false;
+            return 2;
         }
         if (opt.mode == ExecMode::Liquid) {
-            if (!opt.modeExplicit) {
-                // Liquid is only the default for the cycle tier; the
-                // natural functional-tier default is the scalar ISA.
-                opt.mode = ExecMode::ScalarBaseline;
-            } else {
-                std::cerr << "--tier functional cannot run liquid "
-                             "mode (no translator or microcode "
-                             "cache); use --mode scalar or --mode "
-                             "native, or --tier cycle\n";
-                return false;
-            }
+            std::cerr << "--tier functional cannot run liquid "
+                         "mode (no translator or microcode "
+                         "cache); use --mode scalar or --mode "
+                         "native, or --tier cycle\n";
+            return 2;
         }
     }
-    return true;
+    return std::nullopt;
 }
 
 /** Emission mode matching an execution mode. */
@@ -417,8 +334,8 @@ int
 main(int argc, char **argv)
 {
     Options opt;
-    if (!parseArgs(argc, argv, opt))
-        return 2;
+    if (const auto rc = parseArgs(argc, argv, opt))
+        return *rc;
 
     if (opt.list) {
         for (const auto &wl : makeSuite())
@@ -437,16 +354,12 @@ main(int argc, char **argv)
         }
     }
 
-    std::ifstream in(opt.file);
-    if (!in) {
-        std::cerr << "cannot open '" << opt.file << "'\n";
+    const auto source = cli::readSource(opt.files[0]);
+    if (!source)
         return 2;
-    }
-    std::ostringstream source;
-    source << in.rdbuf();
 
     try {
-        Program prog = assemble(source.str());
+        Program prog = assemble(*source);
         if (opt.listing)
             std::cout << prog.listing();
 

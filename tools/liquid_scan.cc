@@ -23,10 +23,8 @@
  * 2 on usage/assembly problems.
  */
 
-#include <fstream>
 #include <iostream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -58,7 +56,7 @@ constexpr const char *scanToolVersion = "3.0";
 
 struct Options
 {
-    std::string file;
+    std::vector<std::string> files;  ///< the input program, if any
     std::vector<unsigned> widths{2, 4, 8, 16};
     bool fallback = true;
     bool predict = true;
@@ -70,87 +68,48 @@ struct Options
     std::string validateFile;
 };
 
-void
-usage()
-{
-    std::cout <<
-        "usage: liquid-scan [options] program.s\n"
-        "       liquid-scan [options] --suite\n"
-        "  --widths LIST    comma-separated prediction widths"
-        " (2,4,8,16)\n"
-        "  --no-fallback    do not retry failed widths at half width\n"
-        "  --no-predict     discovery and contract checks only\n"
-        "  --prove          back each prediction with the symbolic\n"
-        "                   translation-validation prover\n"
-        "  --ranges         seed discovery and the cost model with the\n"
-        "                   interprocedural value-range analysis\n"
-        "                   (trip-count bounds, access alignment)\n"
-        "  --werror         treat warn verdicts as errors\n"
-        "  --json           machine-readable report on stdout\n"
-        "  --suite          scan every suite workload, built without\n"
-        "                   scalarizer hints\n"
-        "  --validate FILE  join suite predictions against measured\n"
-        "                   liquid-lab results (implies --suite)\n";
-}
-
-bool
+/** Parse argv into @p opt; returns a status to exit with, or nullopt. */
+std::optional<int>
 parseArgs(int argc, char **argv, Options &opt)
 {
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::cerr << "missing value for " << arg << '\n';
-                return nullptr;
-            }
-            return argv[++i];
-        };
-        if (arg == "--widths") {
-            if (!parseWidths(i + 1 < argc ? argv[++i] : nullptr,
-                             opt.widths))
-                return false;
-        } else if (arg == "--no-fallback") {
-            opt.fallback = false;
-        } else if (arg == "--no-predict") {
-            opt.predict = false;
-        } else if (arg == "--prove") {
-            opt.prove = true;
-        } else if (arg == "--ranges") {
-            opt.ranges = true;
-        } else if (arg == "--werror") {
-            opt.werror = true;
-        } else if (arg == "--json") {
-            opt.json = true;
-        } else if (arg == "--suite") {
-            opt.suite = true;
-        } else if (arg == "--validate") {
-            const char *v = value();
-            if (!v)
-                return false;
-            opt.validateFile = v;
-            opt.suite = true;
-        } else if (arg == "-h" || arg == "--help") {
-            usage();
-            std::exit(0);
-        } else if (!arg.empty() && arg[0] == '-') {
-            std::cerr << "unknown option '" << arg << "'\n";
-            return false;
-        } else if (opt.file.empty()) {
-            opt.file = arg;
-        } else {
-            std::cerr << "multiple input files\n";
-            return false;
-        }
+    const cli::Command cmd{
+        "usage: liquid-scan [options] program.s\n"
+        "       liquid-scan [options] --suite\n",
+        {{"--widths LIST", "comma-separated prediction widths (2,4,8,16)",
+          cli::widths(opt.widths)},
+         {"--no-fallback", "do not retry failed widths at half width",
+          cli::flag(opt.fallback, false)},
+         {"--no-predict", "discovery and contract checks only",
+          cli::flag(opt.predict, false)},
+         {"--prove", "back each prediction with the symbolic "
+                     "translation-validation prover",
+          cli::flag(opt.prove)},
+         {"--ranges", "seed discovery and the cost model with the "
+                      "interprocedural value-range analysis (trip-count "
+                      "bounds, access alignment)",
+          cli::flag(opt.ranges)},
+         {"--werror", "treat warn verdicts as errors", cli::flag(opt.werror)},
+         {"--json", "machine-readable report on stdout",
+          cli::flag(opt.json)},
+         {"--suite", "scan every suite workload, built without scalarizer "
+                     "hints",
+          cli::flag(opt.suite)},
+         {"--validate FILE", "join suite predictions against measured "
+                             "liquid-lab results (implies --suite)",
+          cli::value(opt.validateFile)}},
+        &opt.files, 1};
+    if (const auto rc = cli::parse(cmd, argc, argv))
+        return rc;
+    opt.suite = opt.suite || !opt.validateFile.empty();
+    if (opt.files.empty() && !opt.suite) {
+        cli::printHelp(std::cout, cmd);
+        return 2;
     }
-    if (opt.file.empty() && !opt.suite) {
-        usage();
-        return false;
-    }
-    if (!opt.file.empty() && opt.suite) {
+    if (!opt.files.empty() && opt.suite) {
         std::cerr << "--suite does not take an input file\n";
-        return false;
+        return 2;
     }
-    return true;
+    return std::nullopt;
 }
 
 json::Value
@@ -250,8 +209,8 @@ int
 main(int argc, char **argv)
 {
     Options opt;
-    if (!parseArgs(argc, argv, opt))
-        return 2;
+    if (const auto rc = parseArgs(argc, argv, opt))
+        return *rc;
 
     ScanOptions sopts;
     sopts.widths = opt.widths;
@@ -284,15 +243,11 @@ main(int argc, char **argv)
                 reports.emplace_back(wl->name(), scanOne(build.prog));
             }
         } else {
-            std::ifstream in(opt.file);
-            if (!in) {
-                std::cerr << "cannot open '" << opt.file << "'\n";
+            const auto source = cli::readSource(opt.files[0]);
+            if (!source)
                 return 2;
-            }
-            std::ostringstream source;
-            source << in.rdbuf();
-            const Program prog = assemble(source.str());
-            reports.emplace_back(opt.file, scanOne(prog));
+            const Program prog = assemble(*source);
+            reports.emplace_back(opt.files[0], scanOne(prog));
         }
 
         unsigned regions = 0, candidates = 0;

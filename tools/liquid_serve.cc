@@ -26,13 +26,14 @@
  * errors.
  */
 
-#include <cstdlib>
 #include <fstream>
 #include <future>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/cli.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "lab/results.hh"
@@ -48,21 +49,11 @@ namespace
 struct Options
 {
     std::string command;
-    std::vector<std::string> workloads;     ///< empty = spec default
-    std::vector<unsigned> widths;           ///< empty = spec default
-    std::vector<RequestClass> classes;      ///< empty = all five
+    /** The loadgen/sweep spec; run reads its request axes and caches. */
+    LoadSpec spec;
     unsigned jobs = 0;                      ///< 0 = hardware threads
-    std::uint64_t seed = 1;
     std::vector<double> qpsList{200.0};
-    std::uint64_t requests = 64;
-    std::uint64_t deadlineUs = 0;
-    unsigned servers = 4;
-    std::size_t queueCapacity = 64;
-    std::size_t hotCacheEntries = 256;
     std::string coldCacheDir;
-    std::uint64_t hitCostUs = 5;
-    std::uint64_t overheadUs = 20;
-    std::uint64_t unitsPerUs = 1000;
     std::uint64_t p99TargetUs = 0;          ///< 0 = no gate (loadgen)
     unsigned repeat = 2;                    ///< run: submission rounds
     bool distribution = false;
@@ -71,216 +62,84 @@ struct Options
     std::string labOut;
 };
 
-void
-usage()
-{
-    std::cout <<
-        "usage: liquid-serve <run|loadgen|sweep> [options]\n"
-        "common:\n"
-        "  --workloads LIST    suite names (default: fir,lu,fft)\n"
-        "  --widths LIST       SIMD widths (default: 4,8)\n"
-        "  --classes LIST      simulate,verify,scan,chaos,proof\n"
-        "                      (default: all five)\n"
-        "  --jobs N            execution threads (default: hardware)\n"
-        "  --json              machine-readable report on stdout\n"
-        "  --out FILE          also write the report to FILE\n"
-        "run (live async server):\n"
-        "  --queue-capacity N  backpressure limit (default 64)\n"
-        "  --hot-cache N       hot-tier entries (default 256)\n"
-        "  --cold-cache DIR    on-disk cold tier for simulate\n"
-        "  --repeat N          submission rounds over the request set\n"
-        "                      (default 2; round 2 hits the hot tier)\n"
-        "loadgen / sweep (deterministic virtual time):\n"
-        "  --seed S            trace seed (default 1)\n"
-        "  --qps LIST          offered load; one value for loadgen, a\n"
-        "                      comma list of sweep points (default 200)\n"
-        "  --requests N        trace length (default 64)\n"
-        "  --deadline-us N     per-request budget; 0 = none\n"
-        "  --servers N         virtual service slots (default 4)\n"
-        "  --queue-capacity N  rejection threshold (default 64)\n"
-        "  --hot-cache N       hot-tier entries (default 256)\n"
-        "  --hit-cost-us N     hot-hit service time (default 5)\n"
-        "  --overhead-us N     per-execution overhead (default 20)\n"
-        "  --units-per-us N    work units per virtual us (default 1000)\n"
-        "  --p99-target-us N   tail contract; loadgen exits 1 when the\n"
-        "                      overall p99 exceeds it, sweep exits 1\n"
-        "                      when no point meets it (sweep default\n"
-        "                      4000)\n"
-        "  --distribution      include per-class latency histograms\n"
-        "  --lab-out FILE      write the lab-schema results file\n"
-        "                      (BENCH_serve.json) for liquid-lab diff\n";
-}
-
-std::vector<std::string>
-splitList(const std::string &list)
-{
-    std::vector<std::string> out;
-    std::size_t pos = 0;
-    while (pos <= list.size()) {
-        const std::size_t comma = list.find(',', pos);
-        out.push_back(list.substr(
-            pos, comma == std::string::npos ? std::string::npos
-                                            : comma - pos));
-        if (comma == std::string::npos)
-            break;
-        pos = comma + 1;
-    }
-    return out;
-}
-
-bool
+/** Parse argv into @p opts; returns a status to exit with, or nullopt. */
+std::optional<int>
 parseArgs(int argc, char **argv, Options &opts)
 {
-    if (argc < 2) {
-        return false;
-    }
-    opts.command = argv[1];
-    if (opts.command == "-h" || opts.command == "--help") {
-        usage();
-        std::exit(0);
-    }
-    if (opts.command != "run" && opts.command != "loadgen" &&
-        opts.command != "sweep") {
-        std::cerr << "unknown command '" << opts.command << "'\n";
-        return false;
-    }
+    opts.command = argc > 1 ? argv[1] : "";
     if (opts.command == "sweep")
         opts.p99TargetUs = 4000;
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            return i + 1 < argc ? argv[++i] : nullptr;
-        };
-        auto nextU64 = [&](std::uint64_t &out) {
-            const char *v = next();
-            if (!v)
-                return false;
-            out = std::strtoull(v, nullptr, 10);
-            return true;
-        };
-        if (arg == "--workloads") {
-            const char *v = next();
-            if (!v)
-                return false;
-            opts.workloads = splitList(v);
-        } else if (arg == "--widths") {
-            const char *v = next();
-            if (!v)
-                return false;
-            opts.widths.clear();
-            for (const auto &w : splitList(v))
-                opts.widths.push_back(static_cast<unsigned>(
-                    std::strtoul(w.c_str(), nullptr, 10)));
-        } else if (arg == "--classes") {
-            const char *v = next();
-            if (!v)
-                return false;
-            opts.classes.clear();
-            for (const auto &c : splitList(v))
-                opts.classes.push_back(classFromName(c));
-        } else if (arg == "--jobs") {
-            const char *v = next();
-            if (!v)
-                return false;
-            opts.jobs = static_cast<unsigned>(
-                std::strtoul(v, nullptr, 10));
-        } else if (arg == "--seed") {
-            if (!nextU64(opts.seed))
-                return false;
-        } else if (arg == "--qps") {
-            const char *v = next();
-            if (!v)
-                return false;
-            opts.qpsList.clear();
-            for (const auto &q : splitList(v))
-                opts.qpsList.push_back(std::strtod(q.c_str(), nullptr));
-        } else if (arg == "--requests") {
-            if (!nextU64(opts.requests))
-                return false;
-        } else if (arg == "--deadline-us") {
-            if (!nextU64(opts.deadlineUs))
-                return false;
-        } else if (arg == "--servers") {
-            const char *v = next();
-            if (!v)
-                return false;
-            opts.servers = static_cast<unsigned>(
-                std::strtoul(v, nullptr, 10));
-        } else if (arg == "--queue-capacity") {
-            std::uint64_t n = 0;
-            if (!nextU64(n))
-                return false;
-            opts.queueCapacity = n;
-        } else if (arg == "--hot-cache") {
-            std::uint64_t n = 0;
-            if (!nextU64(n))
-                return false;
-            opts.hotCacheEntries = n;
-        } else if (arg == "--cold-cache") {
-            const char *v = next();
-            if (!v)
-                return false;
-            opts.coldCacheDir = v;
-        } else if (arg == "--hit-cost-us") {
-            if (!nextU64(opts.hitCostUs))
-                return false;
-        } else if (arg == "--overhead-us") {
-            if (!nextU64(opts.overheadUs))
-                return false;
-        } else if (arg == "--units-per-us") {
-            if (!nextU64(opts.unitsPerUs))
-                return false;
-        } else if (arg == "--p99-target-us") {
-            if (!nextU64(opts.p99TargetUs))
-                return false;
-        } else if (arg == "--repeat") {
-            const char *v = next();
-            if (!v)
-                return false;
-            opts.repeat = static_cast<unsigned>(
-                std::strtoul(v, nullptr, 10));
-        } else if (arg == "--distribution") {
-            opts.distribution = true;
-        } else if (arg == "--json") {
-            opts.json = true;
-        } else if (arg == "--out") {
-            const char *v = next();
-            if (!v)
-                return false;
-            opts.out = v;
-        } else if (arg == "--lab-out") {
-            const char *v = next();
-            if (!v)
-                return false;
-            opts.labOut = v;
-        } else if (arg == "-h" || arg == "--help") {
-            usage();
-            std::exit(0);
-        } else {
-            std::cerr << "unknown option '" << arg << "'\n";
-            return false;
-        }
+    cli::Names<RequestClass> classNames;
+    for (const RequestClass cls : allRequestClasses)
+        classNames.emplace_back(className(cls), cls);
+    const cli::Command cmd{
+        "usage: liquid-serve <run|loadgen|sweep> [options]\n",
+        {{"--workloads LIST", "suite names (default: fir,lu,fft)",
+          cli::list(opts.spec.workloads)},
+         {"--widths LIST", "SIMD widths (default: 4,8)",
+          cli::widths(opts.spec.widths)},
+         {"--classes LIST",
+          "simulate,verify,scan,chaos,proof (default: all five)",
+          cli::list(opts.spec.mix, classNames)},
+         {"--jobs N", "execution threads (default: hardware)",
+          cli::value(opts.jobs)},
+         {"--json", "machine-readable report on stdout",
+          cli::flag(opts.json)},
+         {"--out FILE", "also write the report to FILE", cli::value(opts.out)},
+         {"--queue-capacity N", "run: backpressure limit; loadgen/sweep: "
+                                "rejection threshold (default 64)",
+          cli::value(opts.spec.queueCapacity)},
+         {"--hot-cache N", "hot-tier entries (default 256)",
+          cli::value(opts.spec.hotCacheEntries)},
+         {"--cold-cache DIR", "run: on-disk cold tier for simulate",
+          cli::value(opts.coldCacheDir)},
+         {"--repeat N", "run: submission rounds over the request set "
+                        "(default 2; round 2 hits the hot tier)",
+          cli::value(opts.repeat)},
+         {"--seed S", "trace seed (default 1)", cli::value(opts.spec.seed)},
+         {"--qps LIST", "offered load; one value for loadgen, a comma list "
+                        "of sweep points (default 200)",
+          cli::list(opts.qpsList)},
+         {"--requests N", "trace length (default 64)",
+          cli::value(opts.spec.requests)},
+         {"--deadline-us N", "per-request budget; 0 = none",
+          cli::value(opts.spec.deadlineUs)},
+         {"--servers N", "virtual service slots (default 4)",
+          cli::value(opts.spec.virtualServers)},
+         {"--hit-cost-us N", "hot-hit service time (default 5)",
+          cli::value(opts.spec.hitCostUs)},
+         {"--overhead-us N", "per-execution overhead (default 20)",
+          cli::value(opts.spec.overheadUs)},
+         {"--units-per-us N", "work units per virtual us (default 1000)",
+          cli::value(opts.spec.unitsPerUs)},
+         {"--p99-target-us N",
+          "tail contract; loadgen exits 1 when the overall p99 exceeds it, "
+          "sweep exits 1 when no point meets it (sweep default 4000)",
+          cli::value(opts.p99TargetUs)},
+         {"--distribution", "include per-class latency histograms",
+          cli::flag(opts.distribution)},
+         {"--lab-out FILE", "write the lab-schema results file "
+                            "(BENCH_serve.json) for liquid-lab diff",
+          cli::value(opts.labOut)}}};
+    // Without a command word, argv[1] is parsed too: --help, or a
+    // diagnostic, or the usage.
+    const bool known = opts.command == "run" ||
+                       opts.command == "loadgen" || opts.command == "sweep";
+    if (const auto rc = cli::parse(cmd, argc, argv, known ? 2 : 1))
+        return rc;
+    if (!known) {
+        cli::printHelp(std::cout, cmd);
+        return 2;
     }
-    return true;
+    return std::nullopt;
 }
 
+/** The spec at the first --qps point. */
 LoadSpec
 specFromOptions(const Options &opts)
 {
-    LoadSpec spec;
-    spec.seed = opts.seed;
+    LoadSpec spec = opts.spec;
     spec.qps = opts.qpsList.front();
-    spec.requests = opts.requests;
-    spec.mix = opts.classes;
-    spec.workloads = opts.workloads;
-    spec.widths = opts.widths;
-    spec.deadlineUs = opts.deadlineUs;
-    spec.virtualServers = opts.servers;
-    spec.queueCapacity = opts.queueCapacity;
-    spec.hotCacheEntries = opts.hotCacheEntries;
-    spec.hitCostUs = opts.hitCostUs;
-    spec.overheadUs = opts.overheadUs;
-    spec.unitsPerUs = opts.unitsPerUs;
     return spec;
 }
 
@@ -321,14 +180,14 @@ printClassTable(const LoadReport &report)
 std::vector<Request>
 liveRequestSet(const Options &opts)
 {
-    std::vector<RequestClass> classes(opts.classes);
+    std::vector<RequestClass> classes(opts.spec.mix);
     if (classes.empty())
         classes.assign(std::begin(allRequestClasses),
                        std::end(allRequestClasses));
-    std::vector<std::string> workloads(opts.workloads);
+    std::vector<std::string> workloads(opts.spec.workloads);
     if (workloads.empty())
         workloads = {"fir", "lu", "fft"};
-    std::vector<unsigned> widths(opts.widths);
+    std::vector<unsigned> widths(opts.spec.widths);
     if (widths.empty())
         widths = {4, 8};
 
@@ -354,8 +213,8 @@ cmdRun(const Options &opts)
 {
     ServerConfig config;
     config.workers = opts.jobs ? opts.jobs : 4;
-    config.queueCapacity = opts.queueCapacity;
-    config.hotCacheEntries = opts.hotCacheEntries;
+    config.queueCapacity = opts.spec.queueCapacity;
+    config.hotCacheEntries = opts.spec.hotCacheEntries;
     config.coldCacheDir = opts.coldCacheDir;
     Server server(config);
 
@@ -499,10 +358,8 @@ int
 main(int argc, char **argv)
 {
     Options opts;
-    if (!parseArgs(argc, argv, opts)) {
-        usage();
-        return 2;
-    }
+    if (const auto rc = parseArgs(argc, argv, opts))
+        return *rc;
     try {
         if (opts.command == "run")
             return cmdRun(opts);
@@ -512,5 +369,8 @@ main(int argc, char **argv)
     } catch (const FatalError &e) {
         std::cerr << "liquid-serve: " << e.what() << '\n';
         return 2;
+    } catch (const PanicError &e) {
+        std::cerr << "liquid-serve: " << e.what() << '\n';
+        return 1;
     }
 }

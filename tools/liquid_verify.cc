@@ -19,15 +19,14 @@
  * 2 on usage/assembly problems.
  */
 
-#include <fstream>
 #include <iostream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "asm/assembler.hh"
+#include "common/cli.hh"
 #include "common/json.hh"
 #include "verifier/range.hh"
 #include "verifier/verifier.hh"
@@ -53,7 +52,7 @@ constexpr const char *verifyToolVersion = "3.0";
 
 struct Options
 {
-    std::string file;
+    std::vector<std::string> files;  ///< the input program, if any
     unsigned width = 8;
     bool fallback = true;
     bool prove = false;
@@ -64,76 +63,43 @@ struct Options
     bool json = false;
 };
 
-void
-usage()
-{
-    std::cout <<
-        "usage: liquid-verify [options] program.s\n"
-        "       liquid-verify [options] --suite\n"
-        "  -w, --width N    SIMD lanes to verify against: 2/4/8/16 (8)\n"
-        "  --no-fallback    do not retry failed regions at half width\n"
-        "  --prove          settle depcheck-unknown widths (and audit\n"
-        "                   commits) with the translation-validation\n"
-        "                   prover\n"
-        "  --ranges         seed the verifier with the interprocedural\n"
-        "                   value-range analysis (liquid-range facts)\n"
-        "  --poly           attach the width-polymorphic validity set\n"
-        "                   (liquid-poly): for which N does the region\n"
-        "                   verify?\n"
-        "  --werror         treat warn verdicts as errors\n"
-        "  --json           machine-readable per-region verdicts on"
-        " stdout\n"
-        "  --suite          verify every workload-suite kernel instead"
-        " of a file\n";
-}
-
-bool
+/** Parse argv into @p opt; returns a status to exit with, or nullopt. */
+std::optional<int>
 parseArgs(int argc, char **argv, Options &opt)
 {
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "-w" || arg == "--width") {
-            if (i + 1 >= argc) {
-                std::cerr << "missing value for " << arg << '\n';
-                return false;
-            }
-            opt.width = static_cast<unsigned>(std::stoul(argv[++i]));
-        } else if (arg == "--no-fallback") {
-            opt.fallback = false;
-        } else if (arg == "--prove") {
-            opt.prove = true;
-        } else if (arg == "--ranges") {
-            opt.ranges = true;
-        } else if (arg == "--poly") {
-            opt.poly = true;
-        } else if (arg == "--suite") {
-            opt.suite = true;
-        } else if (arg == "--werror") {
-            opt.werror = true;
-        } else if (arg == "--json") {
-            opt.json = true;
-        } else if (arg == "-h" || arg == "--help") {
-            usage();
-            std::exit(0);
-        } else if (!arg.empty() && arg[0] == '-') {
-            std::cerr << "unknown option '" << arg << "'\n";
-            return false;
-        } else if (opt.file.empty()) {
-            opt.file = arg;
-        } else {
-            std::cerr << "multiple input files\n";
-            return false;
-        }
+    const cli::Command cmd{
+        "usage: liquid-verify [options] program.s\n"
+        "       liquid-verify [options] --suite\n",
+        {{"-w, --width N", "SIMD lanes to verify against: 2/4/8/16 (8)",
+          cli::width(opt.width)},
+         {"--no-fallback", "do not retry failed regions at half width",
+          cli::flag(opt.fallback, false)},
+         {"--prove", "settle depcheck-unknown widths (and audit commits) "
+                     "with the translation-validation prover",
+          cli::flag(opt.prove)},
+         {"--ranges", "seed the verifier with the interprocedural "
+                      "value-range analysis (liquid-range facts)",
+          cli::flag(opt.ranges)},
+         {"--poly", "attach the width-polymorphic validity set "
+                    "(liquid-poly): for which N does the region verify?",
+          cli::flag(opt.poly)},
+         {"--werror", "treat warn verdicts as errors", cli::flag(opt.werror)},
+         {"--json", "machine-readable per-region verdicts on stdout",
+          cli::flag(opt.json)},
+         {"--suite", "verify every workload-suite kernel instead of a file",
+          cli::flag(opt.suite)}},
+        &opt.files, 1};
+    if (const auto rc = cli::parse(cmd, argc, argv))
+        return rc;
+    if (opt.files.empty() && !opt.suite) {
+        cli::printHelp(std::cout, cmd);
+        return 2;
     }
-    if (opt.file.empty() && !opt.suite) {
-        usage();
-        return false;
-    }
-    if (!opt.file.empty() && opt.suite) {
+    if (!opt.files.empty() && opt.suite) {
         std::cerr << "--suite does not take an input file\n";
-        return false;
+        return 2;
     }
-    return true;
+    return std::nullopt;
 }
 
 const char *
@@ -286,8 +252,8 @@ int
 main(int argc, char **argv)
 {
     Options opt;
-    if (!parseArgs(argc, argv, opt))
-        return 2;
+    if (const auto rc = parseArgs(argc, argv, opt))
+        return *rc;
 
     std::vector<std::pair<std::string, RegionReport>> regions;
     try {
@@ -298,15 +264,11 @@ main(int argc, char **argv)
                 report(build.prog, wl->name(), opt, regions);
             }
         } else {
-            std::ifstream in(opt.file);
-            if (!in) {
-                std::cerr << "cannot open '" << opt.file << "'\n";
+            const auto source = cli::readSource(opt.files[0]);
+            if (!source)
                 return 2;
-            }
-            std::ostringstream source;
-            source << in.rdbuf();
-            const Program prog = assemble(source.str());
-            report(prog, opt.file, opt, regions);
+            const Program prog = assemble(*source);
+            report(prog, opt.files[0], opt, regions);
             if (regions.empty() && !opt.json) {
                 std::cout << "no hinted regions found\n";
                 return 0;
