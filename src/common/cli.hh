@@ -10,6 +10,7 @@
  *  - a number has no sign; an integer is decimal digits only and must
  *    fit its field; a double must be finite;
  *  - a choice is one of its listed names; a width is 2, 4, 8 or 16;
+ *  - a regular expression must compile, and is compiled once, here;
  *  - a list is comma-separated; the first occurrence of a list option
  *    replaces its default and each repeat appends.
  * Any other value, a missing value or an unknown option prints one
@@ -27,6 +28,7 @@
 #include <iostream>
 #include <limits>
 #include <optional>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -115,6 +117,27 @@ value(T &out)
 {
     return {"a " + kind<T>(),
             [&out](const std::string &s) { return convert(s, out); }};
+}
+
+/** A regular expression as given and compiled. */
+struct Regex
+{
+    std::string text;  ///< empty when the option was not given
+    std::regex compiled;
+};
+
+/** A regular expression (ECMAScript grammar). */
+inline Target
+regex(Regex &out)
+{
+    return {"a regular expression", [&out](const std::string &s) {
+                try {
+                    out = {s, std::regex(s)};
+                    return true;
+                } catch (const std::regex_error &) {
+                    return false;
+                }
+            }};
 }
 
 /** The names of @p names, '/'-separated, for diagnostics. */

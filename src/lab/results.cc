@@ -75,12 +75,6 @@ JobResult::toJson() const
     return v;
 }
 
-std::uint64_t
-JobResult::digest() const
-{
-    return fnv1a(toJson().toString(0));
-}
-
 JobResult
 JobResult::fromJson(const json::Value &v)
 {

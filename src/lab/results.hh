@@ -56,15 +56,6 @@ struct JobResult
 
     json::Value toJson() const;
     static JobResult fromJson(const json::Value &v);
-
-    /**
-     * Deterministic fingerprint of the serialized result (fnv1a over
-     * the canonical JSON; fromCache is excluded by construction).
-     * Identical jobs produce identical outcomes, hence identical
-     * digests — the serve subsystem's response-identity and
-     * cache-soundness checks key on this.
-     */
-    std::uint64_t digest() const;
 };
 
 /** An ordered, key-addressable collection of job results. */

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -43,6 +44,7 @@ struct Fields
     unsigned width = 8;
     std::vector<unsigned> widths{2, 4, 8, 16};
     std::vector<Mode> modes{Mode::Scalar};
+    cli::Regex filter;
     std::vector<std::string> files;
 };
 
@@ -66,7 +68,9 @@ command(Fields &f)
              {"--widths LIST", "a width list", cli::widths(f.widths)},
              {"--modes LIST", "a list of choices",
               cli::list(f.modes, {{"scalar", Mode::Scalar},
-                                  {"native", Mode::Native}})}},
+                                  {"native", Mode::Native}})},
+             {"--filter REGEX", "a regular expression",
+              cli::regex(f.filter)}},
             &f.files, 1};
 }
 
@@ -114,7 +118,7 @@ TEST(Cli, ValidValuesReachTheirTargets)
                   "prog.s", "--seed", "18446744073709551615", "--tol",
                   "0.5", "--mode", "native", "--names", "a,,b", "--qps",
                   "1.5,2e3", "--width", "16", "--widths", "4,16",
-                  "--modes", "native,scalar"});
+                  "--modes", "native,scalar", "--filter", "^f.r$"});
     EXPECT_EQ(o.status, std::nullopt);
     EXPECT_EQ(o.err, "");
     EXPECT_TRUE(f.flag);
@@ -129,6 +133,9 @@ TEST(Cli, ValidValuesReachTheirTargets)
     EXPECT_EQ(f.width, 16u);
     EXPECT_EQ(f.widths, (std::vector<unsigned>{4, 16}));
     EXPECT_EQ(f.modes, (std::vector<Mode>{Mode::Native, Mode::Scalar}));
+    EXPECT_EQ(f.filter.text, "^f.r$");
+    EXPECT_TRUE(std::regex_search("fir", f.filter.compiled));
+    EXPECT_FALSE(std::regex_search("fft", f.filter.compiled));
     EXPECT_EQ(f.files, (std::vector<std::string>{"prog.s"}));
 }
 
@@ -200,6 +207,15 @@ TEST(Cli, ChoicesAndWidthsAreRejectedOutsideTheirNames)
                    "--widths takes a comma list of 2/4/8/16, got '4,'");
 }
 
+TEST(Cli, MalformedRegexIsRejected)
+{
+    for (const char *bad : {"(", "[a", "a{2,1}", "*"}) {
+        expectRejected({"--filter", bad},
+                       std::string("--filter takes a regular expression, "
+                                   "got '") + bad + "'");
+    }
+}
+
 TEST(Cli, RejectedValueLeavesTheDefault)
 {
     Fields f;
@@ -207,6 +223,8 @@ TEST(Cli, RejectedValueLeavesTheDefault)
     EXPECT_EQ(f.widths, (std::vector<unsigned>{2, 4, 8, 16}));
     EXPECT_EQ(parse(f, {"--jobs", "5x"}).status, 2);
     EXPECT_EQ(f.jobs, 7u);
+    EXPECT_EQ(parse(f, {"--filter", "("}).status, 2);
+    EXPECT_EQ(f.filter.text, "");
 }
 
 TEST(Cli, MissingValueUnknownOptionAndExtraArgument)

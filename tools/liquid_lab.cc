@@ -19,7 +19,6 @@
 #include <chrono>
 #include <filesystem>
 #include <iostream>
-#include <regex>
 #include <string>
 #include <vector>
 
@@ -64,7 +63,7 @@ struct RunOptions
     std::string cacheDir;
     bool noCache = false;
     bool smoke = false;
-    std::string filter;
+    cli::Regex filter;
     bool render = false;
     bool progress = false;
     bool predict = false;
@@ -135,10 +134,9 @@ cmdRun(const RunOptions &opt)
         std::vector<Job> jobs = campaign.matrix.expand();
         if (opt.tier == fast::ExecTier::Functional)
             jobs = toFunctionalTier(std::move(jobs));
-        if (!opt.filter.empty()) {
-            const std::regex re(opt.filter);
+        if (!opt.filter.text.empty()) {
             std::erase_if(jobs, [&](const Job &job) {
-                return !std::regex_search(job.key(), re);
+                return !std::regex_search(job.key(), opt.filter.compiled);
             });
         }
         const auto t0 = std::chrono::steady_clock::now();
@@ -265,7 +263,7 @@ runCommand(RunOptions &opt)
          {"--smoke", "reduced trip counts (the CI matrix)",
           cli::flag(opt.smoke)},
          {"--filter REGEX", "only jobs whose key matches",
-          cli::value(opt.filter)},
+          cli::regex(opt.filter)},
          {"--render", "also print the paper tables", cli::flag(opt.render)},
          {"--progress", "one line per finished job",
           cli::flag(opt.progress)},

@@ -29,7 +29,6 @@
 
 #include <iostream>
 #include <optional>
-#include <regex>
 #include <set>
 #include <string>
 
@@ -59,7 +58,7 @@ struct Options
     bool sweep = false;
     Cycles latency = 1;
     bool list = false;
-    std::string filter;
+    cli::Regex filter;
     fast::ExecTier tier = fast::ExecTier::Cycle;
     /** Functional fast-forward checkpoint (retired insts); 0 = off. */
     std::uint64_t warmup = 0;
@@ -90,7 +89,7 @@ parseArgs(int argc, char **argv, Options &opt)
          {"--list", "print suite workload names", cli::flag(opt.list)},
          {"--filter REGEX",
           "run suite workloads matching REGEX instead of a .s file",
-          cli::value(opt.filter)},
+          cli::regex(opt.filter)},
          {"--tier cycle|functional",
           "execution tier (cycle); the functional tier has no cycle "
           "clock: cycle stats are absent and cycle-only flags error",
@@ -103,7 +102,7 @@ parseArgs(int argc, char **argv, Options &opt)
         &opt.files, 1};
     if (const auto rc = cli::parse(cmd, argc, argv))
         return rc;
-    if (opt.files.empty() && !opt.list && opt.filter.empty()) {
+    if (opt.files.empty() && !opt.list && opt.filter.text.empty()) {
         cli::printHelp(std::cout, cmd);
         return 2;
     }
@@ -191,10 +190,9 @@ runFunctionalOnce(const Program &prog, const Options &opt,
 int
 runFiltered(const Options &opt)
 {
-    const std::regex re(opt.filter);
     bool matched = false;
     for (const auto &wl : makeSuite()) {
-        if (!std::regex_search(wl->name(), re))
+        if (!std::regex_search(wl->name(), opt.filter.compiled))
             continue;
         matched = true;
         std::cout << "== " << wl->name() << '\n';
@@ -251,7 +249,7 @@ runFiltered(const Options &opt)
         }
     }
     if (!matched) {
-        std::cerr << "no suite workload matches '" << opt.filter
+        std::cerr << "no suite workload matches '" << opt.filter.text
                   << "' (see --list)\n";
         return 1;
     }
@@ -342,7 +340,7 @@ main(int argc, char **argv)
             std::cout << wl->name() << '\n';
         return 0;
     }
-    if (!opt.filter.empty()) {
+    if (!opt.filter.text.empty()) {
         try {
             return runFiltered(opt);
         } catch (const FatalError &e) {
